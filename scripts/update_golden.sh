@@ -50,3 +50,11 @@ PYTHONPATH=src REPRO_CACHE=off python -m repro monitor --scale 0.01 --seed 7 \
 mv "$MOUT.tmp" "$MOUT"
 echo "updated $MOUT:"
 cat "$MOUT"
+
+# CBG geolocation: one digest per landmark bestline and per geolocated /24
+# (study at scale 0.01, seed 7, 60 landmarks).  The flow-log digests above
+# never see geolocation, so this file is what pins it.
+COUT=tests/golden/cbg_0.01.digests
+PYTHONPATH=src REPRO_CACHE=off python tests/test_golden_cbg.py > "$COUT.tmp"
+mv "$COUT.tmp" "$COUT"
+echo "updated $COUT ($(wc -l < "$COUT") lines)"

@@ -29,6 +29,7 @@ falls back to the tightest landmark's neighbourhood.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.faults import report as degradation
 from repro.faults.plan import active_plan
-from repro.geo.coords import GeoPoint, destination_point, haversine_km, haversine_km_many
+from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, haversine_km, haversine_km_many
 from repro.geo.landmarks import Landmark, LandmarkSet
 from repro.geoloc.probing import RttProber
 from repro.net.latency import AccessTechnology, C_FIBER_KM_PER_MS, Site
@@ -174,6 +175,10 @@ class CbgGeolocator:
         if len(landmarks) < 4:
             raise ValueError("CBG needs at least 4 landmarks")
         self._landmarks = list(landmarks)
+        self._sites = [
+            Site(key=f"lm:{lm.name}", point=lm.point, access=AccessTechnology.CAMPUS)
+            for lm in self._landmarks
+        ]
         self._prober = prober
         self._bestlines: Dict[str, Bestline] = {}
         self._calibrate()
@@ -191,25 +196,17 @@ class CbgGeolocator:
         """
         return self._bestlines[landmark_name]
 
-    def _landmark_site(self, landmark: Landmark) -> Site:
-        return Site(
-            key=f"lm:{landmark.name}",
-            point=landmark.point,
-            access=AccessTechnology.CAMPUS,
-        )
-
     def _calibrate(self) -> None:
         """Fit every landmark's bestline from inter-landmark RTTs."""
-        sites = {lm.name: self._landmark_site(lm) for lm in self._landmarks}
-        points = {lm.name: lm.point for lm in self._landmarks}
-        for lm in self._landmarks:
+        pairs = list(zip(self._landmarks, self._sites))
+        for lm, site in pairs:
             distances: List[float] = []
             rtts: List[float] = []
-            for other in self._landmarks:
+            for other, other_site in pairs:
                 if other.name == lm.name:
                     continue
-                distances.append(haversine_km(points[lm.name], points[other.name]))
-                rtts.append(self._prober.measure_ms(sites[lm.name], sites[other.name]))
+                distances.append(haversine_km(lm.point, other.point))
+                rtts.append(self._prober.measure_ms(site, other_site))
             self._bestlines[lm.name] = fit_bestline(distances, rtts)
 
     # ------------------------------------------------------------- geolocate
@@ -230,14 +227,14 @@ class CbgGeolocator:
         may_drop = (
             len(self._landmarks) - 4 if plan is not None and plan.probe_loss else 0
         )
-        for lm in self._landmarks:
+        for lm, site in zip(self._landmarks, self._sites):
             if may_drop > 0 and plan.decide(
                 plan.probe_loss, "cbg/loss", target.key, lm.name
             ):
                 lost += 1
                 may_drop -= 1
                 continue
-            rtts[lm.name] = self._prober.measure_ms(self._landmark_site(lm), target)
+            rtts[lm.name] = self._prober.measure_ms(site, target)
         if lost:
             degradation.record(
                 "geoloc/cbg", degraded=1, probes_lost=lost
@@ -265,7 +262,9 @@ class CbgGeolocator:
             The :class:`CbgResult`.
 
         Raises:
-            ValueError: If fewer than 3 constraints are available.
+            ValueError: If fewer than 3 constraints are available, or if
+                a landmark's RTT is NaN, infinite or negative (a lost
+                probe is an absent landmark, never a placeholder value).
         """
         centers: List[GeoPoint] = []
         radii: List[float] = []
@@ -273,6 +272,10 @@ class CbgGeolocator:
             rtt = target_rtts.get(lm.name)
             if rtt is None:
                 continue
+            if not (math.isfinite(rtt) and rtt >= 0.0):
+                raise ValueError(
+                    f"landmark {lm.name!r}: RTT must be finite and non-negative, got {rtt!r}"
+                )
             radius = self._bestlines[lm.name].distance_km(rtt)
             centers.append(lm.point)
             radii.append(radius)
@@ -347,18 +350,47 @@ class CbgGeolocator:
         return centroid, confidence
 
 
-def _sunflower(center: GeoPoint, radius_km: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """A sunflower-spiral sample of the disc around ``center``."""
+@functools.lru_cache(maxsize=None)
+def _spiral(count: int) -> Tuple[Tuple[float, float, float], ...]:
+    """Per-index ``(sqrt((i + 0.5) / count), sin(bearing), cos(bearing))``.
+
+    The radius fraction and bearing of each sunflower point depend only on
+    its index, so they are computed once per ``count``.
+    """
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    lats = np.empty(count)
-    lons = np.empty(count)
+    table = []
     for i in range(count):
-        r = radius_km * math.sqrt((i + 0.5) / count)
-        theta = math.degrees(golden * i) % 360.0
-        p = destination_point(center, theta, r)
-        lats[i] = p.lat
-        lons[i] = p.lon
-    return lats, lons
+        theta = math.radians(math.degrees(golden * i) % 360.0)
+        table.append((math.sqrt((i + 0.5) / count), math.sin(theta), math.cos(theta)))
+    return tuple(table)
+
+
+def _sunflower(center: GeoPoint, radius_km: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A sunflower-spiral sample of the disc around ``center``.
+
+    Point ``i`` is ``destination_point(center, bearing_i, radius_km *
+    fraction_i)``, with that function's formula inlined over the cached
+    :func:`_spiral` table and the anchor's trigonometry hoisted out of the
+    loop; every float is the one ``destination_point`` would produce.
+    """
+    lat1 = math.radians(center.lat)
+    lon1 = math.radians(center.lon)
+    sin_lat1 = math.sin(lat1)
+    cos_lat1 = math.cos(lat1)
+    lats = []
+    lons = []
+    for fraction, sin_theta, cos_theta in _spiral(count):
+        delta = radius_km * fraction / EARTH_RADIUS_KM
+        sin_delta = math.sin(delta)
+        cos_delta = math.cos(delta)
+        lat2 = math.asin(sin_lat1 * cos_delta + cos_lat1 * sin_delta * cos_theta)
+        lon2 = lon1 + math.atan2(
+            sin_theta * sin_delta * cos_lat1, cos_delta - sin_lat1 * math.sin(lat2)
+        )
+        lon2 = (lon2 + 3.0 * math.pi) % (2.0 * math.pi) - math.pi
+        lats.append(math.degrees(lat2))
+        lons.append(math.degrees(lon2))
+    return np.array(lats), np.array(lons)
 
 
 def _spherical_centroid(lats: np.ndarray, lons: np.ndarray) -> GeoPoint:

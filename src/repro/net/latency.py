@@ -190,26 +190,29 @@ class LatencyModel:
 
     def min_rtt_ms(self, a: Site, b: Site) -> float:
         """The floor RTT between two sites (no queueing), in ms."""
-        profile = self.path_profile(a, b)
-        distance = haversine_km(a.point, b.point)
-        propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation
-        access = a.access.last_mile_ms + b.access.last_mile_ms + a.extra_ms + b.extra_ms
-        return propagation + profile.detour_ms + access + PROCESSING_MS
+        return _floor_ms(a, b, self.path_profile(a, b))
 
     def sample_rtt_ms(self, a: Site, b: Site, rng: random.Random) -> float:
         """One probe's RTT: the floor plus exponential queueing noise."""
         profile = self.path_profile(a, b)
-        return self.min_rtt_ms(a, b) + rng.expovariate(1.0 / profile.jitter_ms)
+        return _floor_ms(a, b, profile) + rng.expovariate(1.0 / profile.jitter_ms)
 
     def measure_min_rtt_ms(self, a: Site, b: Site, rng: random.Random, probes: int = 10) -> float:
         """Minimum over ``probes`` samples — what ``ping`` campaigns report.
 
         With ~10 probes the minimum sits within a fraction of the jitter
         scale above the true floor, mirroring real min-filtered pings.
+
+        Equal, float for float and draw for draw, to the minimum of
+        ``probes`` :meth:`sample_rtt_ms` calls; only the deterministic
+        floor and noise rate are computed once instead of once per probe.
         """
         if probes < 1:
             raise ValueError("probes must be >= 1")
-        return min(self.sample_rtt_ms(a, b, rng) for _ in range(probes))
+        profile = self.path_profile(a, b)
+        floor = _floor_ms(a, b, profile)
+        rate = 1.0 / profile.jitter_ms
+        return min(floor + rng.expovariate(rate) for _ in range(probes))
 
     @staticmethod
     def ideal_rtt_ms(distance_km: float) -> float:
@@ -240,12 +243,20 @@ class LatencyModel:
             "access_ms": a.access.last_mile_ms + b.access.last_mile_ms,
             "extra_ms": a.extra_ms + b.extra_ms,
             "processing_ms": PROCESSING_MS,
-            "floor_ms": self.min_rtt_ms(a, b),
+            "floor_ms": _floor_ms(a, b, profile),
         }
 
 
 def _pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _floor_ms(a: Site, b: Site, profile: PathProfile) -> float:
+    """The floor RTT between two sites over their (already computed) path."""
+    distance = haversine_km(a.point, b.point)
+    propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation
+    access = a.access.last_mile_ms + b.access.last_mile_ms + a.extra_ms + b.extra_ms
+    return propagation + profile.detour_ms + access + PROCESSING_MS
 
 
 def geographic_midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:

@@ -1,12 +1,14 @@
 """Tests for the CBG implementation — calibration, constraints, regions."""
 
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.cities import default_atlas
-from repro.geo.coords import haversine_km
+from repro.geo.coords import GeoPoint, destination_point, haversine_km
 from repro.geo.landmarks import generate_landmarks
 from repro.geo.regions import Continent
 from repro.geoloc.cbg import (
@@ -14,6 +16,7 @@ from repro.geoloc.cbg import (
     CbgGeolocator,
     MIN_RADIUS_KM,
     MIN_SLOPE_MS_PER_KM,
+    _sunflower,
     fit_bestline,
 )
 from repro.geoloc.probing import RttProber
@@ -141,6 +144,19 @@ class TestGeolocation:
         assert a.estimate == b.estimate
         assert a.confidence_radius_km == b.confidence_radius_km
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_and_negative_rtts(self, geolocator, bad):
+        # Regression: a NaN RTT used to clamp to MIN_RADIUS_KM, becoming the
+        # tightest constraint and pinning a Paris target to an antipodal
+        # landmark with a ~36 km "confidence radius".
+        cbg, _ = geolocator
+        rtts = cbg.measure_target(dc_site("Paris"))
+        name = "planetlab-oc-001"
+        assert name in rtts
+        rtts[name] = bad
+        with pytest.raises(ValueError, match=name):
+            cbg.geolocate(rtts)
+
     def test_minimum_landmark_count(self):
         landmarks = generate_landmarks(
             mix={Continent.EUROPE: 3}, seed=1
@@ -158,3 +174,53 @@ class TestGeolocation:
             # The estimate is the region centroid; truth lies within the
             # region, so the error is bounded by a few region radii.
             assert err <= max(4.0 * result.confidence_radius_km, 300.0)
+
+
+def _reference_sunflower(center, radius_km, count):
+    """The per-point ``destination_point`` loop ``_sunflower`` must equal."""
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    lats = np.empty(count)
+    lons = np.empty(count)
+    for i in range(count):
+        r = radius_km * math.sqrt((i + 0.5) / count)
+        theta = math.degrees(golden * i) % 360.0
+        p = destination_point(center, theta, r)
+        lats[i] = p.lat
+        lons[i] = p.lon
+    return lats, lons
+
+
+def _assert_matches_reference(anchor, radius_km, count):
+    lats, lons = _sunflower(anchor, radius_km, count)
+    ref_lats, ref_lons = _reference_sunflower(anchor, radius_km, count)
+    assert np.array_equal(lats, ref_lats)
+    assert np.array_equal(lons, ref_lons)
+
+
+class TestSunflower:
+    ANCHORS = [
+        GeoPoint(89.9, 12.0),
+        GeoPoint(-89.9, -77.0),
+        GeoPoint(88.0, 179.9),
+        GeoPoint(-3.0, 179.99),
+        GeoPoint(51.0, -179.99),
+        GeoPoint(-45.0, 180.0),
+        GeoPoint(0.0, -180.0),
+        GeoPoint(48.86, 2.35),
+    ]
+
+    @pytest.mark.parametrize("count", [1, 7, 512])
+    @pytest.mark.parametrize("radius_km", [30.0, 250.0, 3000.0, 12500.0, 20000.0])
+    @pytest.mark.parametrize("anchor", ANCHORS, ids=str)
+    def test_bit_identical_to_destination_point(self, anchor, radius_km, count):
+        _assert_matches_reference(anchor, radius_km, count)
+
+    @given(
+        lat=st.floats(min_value=-90.0, max_value=90.0),
+        lon=st.floats(min_value=-180.0, max_value=180.0),
+        radius_km=st.floats(min_value=30.0, max_value=20000.0),
+        count=st.sampled_from([1, 7, 512]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_bit_identical(self, lat, lon, radius_km, count):
+        _assert_matches_reference(GeoPoint(lat, lon), radius_km, count)

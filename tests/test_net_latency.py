@@ -20,6 +20,18 @@ def make_site(key, lat, lon, access=AccessTechnology.CAMPUS, extra=0.0, group=No
     return Site(key=key, point=GeoPoint(lat, lon), access=access, extra_ms=extra, group=group)
 
 
+#: Sites in routing groups gA/gB (where detours can be pinned) or in a
+#: group of their own (group=None falls back to the key).
+_sites = st.builds(
+    make_site,
+    key=st.sampled_from(["a", "b", "c"]),
+    lat=st.floats(min_value=-90.0, max_value=90.0),
+    lon=st.floats(min_value=-180.0, max_value=180.0),
+    access=st.sampled_from(list(AccessTechnology)),
+    extra=st.floats(min_value=0.0, max_value=20.0),
+    group=st.sampled_from(["gA", "gB", None]),
+)
+
 TURIN = make_site("a", 45.07, 7.69)
 MILAN = make_site("b", 45.46, 9.19)
 TOKYO = make_site("c", 35.68, 139.65)
@@ -134,6 +146,26 @@ class TestSampling:
         model = LatencyModel(seed=11)
         with pytest.raises(ValueError):
             model.measure_min_rtt_ms(TURIN, MILAN, random.Random(0), probes=0)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        rng_seed=st.integers(min_value=0, max_value=2**31),
+        a=_sites,
+        b=_sites,
+        detour=st.none() | st.floats(min_value=0.0, max_value=40.0),
+        probes=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_measurement_equals_min_of_samples(self, seed, rng_seed, a, b, detour, probes):
+        """The hoisted floor changes no float and no RNG draw."""
+        overrides = None if detour is None else {("gA", "gB"): detour}
+        model = LatencyModel(seed=seed, detour_overrides=overrides)
+        rng = random.Random(rng_seed)
+        reference_rng = random.Random(rng_seed)
+        measured = model.measure_min_rtt_ms(a, b, rng, probes)
+        reference = min(model.sample_rtt_ms(a, b, reference_rng) for _ in range(probes))
+        assert measured == reference
+        assert rng.getstate() == reference_rng.getstate()
 
     @given(st.floats(min_value=0.0, max_value=500.0))
     @settings(max_examples=50)
