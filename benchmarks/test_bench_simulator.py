@@ -1,8 +1,10 @@
 """Library performance benchmarks (not paper artifacts).
 
-Times the two throughput-critical paths a user sizes their runs by: the
-request engine (requests/second through DNS + redirection + trace
-collection) and the CBG solver (targets/second once calibrated).
+Times the throughput-critical paths a user sizes their runs by: world
+construction (what each short epoch of ``repro monitor`` pays before its
+first request), the request engine (requests/second through DNS +
+redirection + trace collection) and the CBG solver (targets/second once
+calibrated).
 """
 
 import pytest
@@ -14,6 +16,23 @@ from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 @pytest.fixture(scope="module")
 def engine_world():
     return build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.02, seed=42)
+
+
+def test_bench_world_build(benchmark, save_artifact):
+    def build():
+        return build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.1, seed=42,
+                           duration_s=86400.0)
+
+    world = benchmark(build)
+    mean_ms = benchmark.stats.stats.mean * 1000.0
+    save_artifact(
+        "perf_world_build",
+        f"world build: {mean_ms:,.1f} ms for a one-day EU1-ADSL world at scale 0.1 "
+        f"({len(world.system.catalog)} catalog videos)",
+    )
+    # Catalog videos are built on first touch, so building a world costs
+    # far less than simulating its day.
+    assert mean_ms < 2_000
 
 
 def test_bench_engine_throughput(benchmark, engine_world, save_artifact):

@@ -58,3 +58,12 @@ COUT=tests/golden/cbg_0.01.digests
 PYTHONPATH=src REPRO_CACHE=off python tests/test_golden_cbg.py > "$COUT.tmp"
 mv "$COUT.tmp" "$COUT"
 echo "updated $COUT ($(wc -l < "$COUT") lines)"
+
+# Simulator non-flow outputs: one digest per dataset over the startup-delay
+# and serving-RTT samples and the ground-truth tallies (study at scale
+# 0.01, seed 7).  The flow-log digests above never see them.
+SOUT=tests/golden/sim_0.01.digests
+PYTHONPATH=src REPRO_CACHE=off python tests/test_golden_sim.py > "$SOUT.tmp"
+mv "$SOUT.tmp" "$SOUT"
+echo "updated $SOUT:"
+cat "$SOUT"

@@ -8,17 +8,19 @@ exactly once (Figures 13, 17, 18).
 
 from __future__ import annotations
 
+import base64
 import enum
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 #: YouTube video identifiers are 11 characters of this alphabet.
 _VIDEO_ID_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 VIDEO_ID_LENGTH = 11
+_ID_SPACE = len(_VIDEO_ID_ALPHABET) ** VIDEO_ID_LENGTH
 
 #: Number of content-server name shards (``v<k>.lscache...``).  A video's
 #: shard pins it to a specific server inside whichever data center DNS
@@ -63,18 +65,22 @@ def encode_video_id(index: int) -> str:
     if index < 0:
         raise ValueError("index must be non-negative")
     # Scramble with a fixed odd multiplier modulo 64^11 (bijective).
-    space = len(_VIDEO_ID_ALPHABET) ** VIDEO_ID_LENGTH
-    scrambled = (index * 6364136223846793005 + 1442695040888963407) % space
-    chars = []
-    for _ in range(VIDEO_ID_LENGTH):
-        scrambled, digit = divmod(scrambled, len(_VIDEO_ID_ALPHABET))
-        chars.append(_VIDEO_ID_ALPHABET[digit])
-    return "".join(chars)
+    scrambled = (index * 6364136223846793005 + 1442695040888963407) % _ID_SPACE
+    # The 11 base-64 digits of ``scrambled``, least significant first.  The
+    # alphabet is base64url's, so one encode yields them most significant
+    # first (66 bits padded to 72 with a zero digit); reverse and drop it.
+    padded = base64.urlsafe_b64encode((scrambled << 6).to_bytes(9, "big"))
+    return padded[VIDEO_ID_LENGTH - 1 :: -1].decode("ascii")
 
 
 def shard_of(video_id: str, num_shards: int = DEFAULT_NUM_SHARDS) -> int:
     """The name shard a video belongs to (stable hash of its ID)."""
     return zlib.crc32(video_id.encode()) % num_shards
+
+
+def shard_hostname(shard: int) -> str:
+    """The content-server hostname of one name shard."""
+    return f"v{shard}.lscache.youtube.sim"
 
 
 def hostname_for_video(video_id: str, num_shards: int = DEFAULT_NUM_SHARDS) -> str:
@@ -84,7 +90,7 @@ def hostname_for_video(video_id: str, num_shards: int = DEFAULT_NUM_SHARDS) -> s
     scheme: the name identifies a shard, and the authoritative DNS decides
     which data center's server for that shard the client should use.
     """
-    return f"v{shard_of(video_id, num_shards)}.lscache.youtube.sim"
+    return shard_hostname(shard_of(video_id, num_shards))
 
 
 @dataclass(frozen=True)
@@ -153,23 +159,20 @@ class VideoCatalog:
             raise ValueError("mandelbrot_shift must be non-negative")
         self._shift = mandelbrot_shift
         ranks = np.arange(1, size + 1, dtype=np.float64)
-        weights = (ranks + mandelbrot_shift) ** (-zipf_alpha)
-        self._cumulative = np.cumsum(weights)
+        self._weights = (ranks + mandelbrot_shift) ** (-zipf_alpha)
+        self._cumulative = np.cumsum(self._weights)
         self._total_weight = float(self._cumulative[-1])
 
         # Log-normal durations: median ~2 minutes, long tail, clipped to
         # [20 s, 45 min] — the 2010-era user-generated-content mix.
-        durations = np.clip(rng.lognormal(mean=math.log(120.0), sigma=0.7, size=size), 20.0, 2700.0)
-        self._videos: List[Video] = [
-            Video(
-                video_id=encode_video_id(i),
-                rank=i,
-                duration_s=float(durations[i]),
-                weight=float(weights[i]),
-            )
-            for i in range(size)
-        ]
-        self._by_id: Dict[str, Video] = {v.video_id: v for v in self._videos}
+        self._durations = np.clip(
+            rng.lognormal(mean=math.log(120.0), sigma=0.7, size=size), 20.0, 2700.0
+        )
+        # Videos are built on first touch (:meth:`by_rank`): a short run
+        # samples a small fraction of the catalog, so building every entry
+        # up front would dominate world construction.
+        self._videos: List[Optional[Video]] = [None] * size
+        self._by_id: Optional[Dict[str, int]] = None
 
         # Featured videos: drawn from deep in the tail, so that essentially
         # all of their traffic comes from the 24-hour feature window — the
@@ -178,14 +181,14 @@ class VideoCatalog:
         band_lo, band_hi = size // 3, max(size // 3 + num_featured_days, size // 2)
         picks = rng.choice(np.arange(band_lo, band_hi), size=num_featured_days, replace=False)
         self._featured_by_day: Dict[int, Video] = {
-            day: self._videos[int(idx)] for day, idx in enumerate(sorted(picks))
+            day: self.by_rank(int(idx)) for day, idx in enumerate(sorted(picks))
         }
 
     def __len__(self) -> int:
         return self._size
 
-    def __iter__(self):
-        return iter(self._videos)
+    def __iter__(self) -> Iterator[Video]:
+        return (self.by_rank(rank) for rank in range(self._size))
 
     def get(self, video_id: str) -> Video:
         """Video by ID.
@@ -193,14 +196,26 @@ class VideoCatalog:
         Raises:
             KeyError: For unknown IDs.
         """
+        if self._by_id is None:
+            self._by_id = {encode_video_id(rank): rank for rank in range(self._size)}
         try:
-            return self._by_id[video_id]
+            return self.by_rank(self._by_id[video_id])
         except KeyError:
             raise KeyError(f"unknown video: {video_id!r}") from None
 
     def by_rank(self, rank: int) -> Video:
         """Video at a popularity rank (0 = hottest)."""
-        return self._videos[rank]
+        video = self._videos[rank]
+        if video is None:
+            rank %= self._size
+            video = Video(
+                video_id=encode_video_id(rank),
+                rank=rank,
+                duration_s=float(self._durations[rank]),
+                weight=float(self._weights[rank]),
+            )
+            self._videos[rank] = video
+        return video
 
     def featured_on_day(self, day: int) -> Optional[Video]:
         """The "video of the day" for a simulated day index, if any."""
@@ -236,7 +251,7 @@ class VideoCatalog:
                 u = (u - self._featured_share) / (1.0 - self._featured_share)
         target = u * self._total_weight
         index = int(np.searchsorted(self._cumulative, target, side="right"))
-        return self._videos[min(index, self._size - 1)]
+        return self.by_rank(min(index, self._size - 1))
 
     def popularity_cutoff_rank(self, mass_fraction: float) -> int:
         """Smallest rank prefix capturing ``mass_fraction`` of request mass.

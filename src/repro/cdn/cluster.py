@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cdn.catalog import Resolution, Video, VideoCatalog, hostname_for_video, shard_of
+from repro.cdn.catalog import Resolution, Video, VideoCatalog, shard_hostname, shard_of
 from repro.cdn.datacenter import ContentServer, DataCenter, DataCenterDirectory
 from repro.cdn.redirection import RedirectionEngine, ServeDecision
 from repro.cdn.selection import SelectionPolicy
 from repro.cdn.store import ContentPlacement
+from repro.geo.coords import GeoPoint
 from repro.net.dns import LocalResolver
 from repro.net.latency import AccessTechnology, LatencyModel, Site
 
@@ -153,6 +154,7 @@ class CdnSystem:
         self._legacy_probability = legacy_probability
         self._third_party_probability = third_party_probability
         self._fragment_probability = fragment_probability
+        self._floor_memo: Dict[Tuple[GeoPoint, AccessTechnology, float, str, str], float] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -167,6 +169,29 @@ class CdnSystem:
             raise KeyError(f"server {server.ip_str} belongs to no known data center")
         return dc.server_site(server)
 
+    def floor_rtt_ms(self, client_site: Site, server: ContentServer) -> float:
+        """Floor RTT between a client and a server, in ms (memoised).
+
+        Equal, float for float, to ``latency.min_rtt_ms(client_site,
+        server_site(server))``.  The floor reads only the client's
+        position, access, extra delay and routing group plus the server's
+        data center (every server of a data center shares one site), and
+        all clients of a vantage point share those fields, so the memo
+        holds about one entry per (vantage point, data center).
+        """
+        key = (
+            client_site.point,
+            client_site.access,
+            client_site.extra_ms,
+            client_site.routing_group,
+            server.dc_id,
+        )
+        rtt_ms = self._floor_memo.get(key)
+        if rtt_ms is None:
+            rtt_ms = self.latency.min_rtt_ms(client_site, self.server_site(server))
+            self._floor_memo[key] = rtt_ms
+        return rtt_ms
+
     def _control_flow(
         self,
         t: float,
@@ -177,7 +202,7 @@ class CdnSystem:
         resolution: Resolution,
         rng: random.Random,
     ) -> FlowEvent:
-        rtt_s = self.latency.min_rtt_ms(client_site, self.server_site(server)) / 1000.0
+        rtt_s = self.floor_rtt_ms(client_site, server) / 1000.0
         duration = 2.0 * rtt_s + rng.uniform(0.01, 0.08)
         return FlowEvent(
             t_start=t,
@@ -309,13 +334,12 @@ class CdnSystem:
         Returns:
             The :class:`RequestOutcome` with all flows the monitor will see.
         """
-        hostname = hostname_for_video(video.video_id, self.num_shards)
-        answer = resolver.query(hostname, t_s)
+        shard = shard_of(video.video_id, self.num_shards)
+        answer = resolver.query(shard_hostname(shard), t_s)
         first_server = self.directory.server_at(answer.ip)
         if first_server is None:
             raise LookupError(f"DNS answered an unknown server address: {answer.ip}")
         ranking = self.policy.ranking_for(resolver.resolver_id)
-        shard = shard_of(video.video_id, self.num_shards)
         decision = self.redirection.route(first_server, video, ranking, t_s, shard=shard)
 
         events: List[FlowEvent] = []

@@ -15,7 +15,7 @@ Implements the availability structure the paper infers in Section VII-C:
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cdn.catalog import Video, VideoCatalog
 
@@ -61,6 +61,11 @@ class ContentPlacement:
             raise ValueError("cache_capacity must be >= 1 (or None)")
         self._catalog = catalog
         self._dc_ids: List[str] = list(dc_ids)
+        # ``crc32(b"|" + dc_id)`` continued from ``crc32(video_id)`` equals
+        # ``crc32(f"{video_id}|{dc_id}")``: encode each suffix once.
+        self._dc_suffixes: List[Tuple[str, bytes]] = [
+            (dc_id, f"|{dc_id}".encode()) for dc_id in self._dc_ids
+        ]
         self._head_ranks = catalog.popularity_cutoff_rank(replicated_mass)
         # Featured videos get replicated like head content: YouTube pushes
         # the day's feature everywhere ahead of time.
@@ -87,10 +92,10 @@ class ContentPlacement:
             for k in range(self._origin_count):
                 holders.add(self._dc_ids[(base + k * 7919) % n])
             threshold = int(self._regional_presence_prob * 1_000_000)
-            for dc_id in self._dc_ids:
+            for dc_id, suffix in self._dc_suffixes:
                 if dc_id in holders:
                     continue
-                draw = zlib.crc32(f"{video.video_id}|{dc_id}".encode()) % 1_000_000
+                draw = zlib.crc32(suffix, base) % 1_000_000
                 if draw < threshold:
                     holders.add(dc_id)
             self._tail_holders[video.video_id] = holders

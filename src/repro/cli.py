@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Set
 
 from repro import obs
 from repro.active.testvideo import TestVideoExperiment
@@ -225,6 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="watermark lag for --stream: tolerate records "
         "up to this many seconds out of order "
         "(default 0; sorted logs need none)",
+    )
+    p_sessions.add_argument(
+        "--on-error", choices=("raise", "skip"), default="raise",
+        help="malformed log lines: 'raise' stops with exit status 2 "
+        "(default); 'skip' drops them and reports how many on stderr",
     )
 
     p_cold = sub.add_parser("coldvideo", help="run the PlanetLab cold-video experiment")
@@ -703,9 +708,22 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sessions(args: argparse.Namespace, out) -> int:
-    if args.stream:
-        return _cmd_sessions_stream(args, out)
-    records = read_flow_log(args.flows)
+    skipped: Set[int] = set()
+    try:
+        if args.stream:
+            code = _cmd_sessions_stream(args, out, skipped.add)
+        else:
+            code = _cmd_sessions_batch(args, out, skipped.add)
+    except (ValueError, OSError) as error:
+        print(f"repro sessions: {error}", file=sys.stderr)
+        return 2
+    if skipped:
+        print(f"skipped {len(skipped)} malformed line(s)", file=sys.stderr)
+    return code
+
+
+def _cmd_sessions_batch(args: argparse.Namespace, out, on_skip) -> int:
+    records = read_flow_log(args.flows, on_error=args.on_error, on_skip=on_skip)
     if not records:
         print("flow log is empty", file=out)
         return 1
@@ -719,11 +737,12 @@ def cmd_sessions(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_sessions_stream(args: argparse.Namespace, out) -> int:
+def _cmd_sessions_stream(args: argparse.Namespace, out, on_skip) -> int:
     """Streamed ``sessions``: one replay pass per gap, bounded memory.
 
     Prints exactly the batch command's bytes for any time-sorted log (or
-    any log whose disorder stays within ``--lag-s``).
+    any log whose disorder stays within ``--lag-s``).  Every pass reports
+    the same skipped lines to ``on_skip``.
     """
     from repro.stream.accumulators import SessionStatsAccumulator
     from repro.stream.events import FlowArrival
@@ -734,7 +753,7 @@ def _cmd_sessions_stream(args: argparse.Namespace, out) -> int:
     if not gaps:
         flows = sum(
             1
-            for event in replay_flow_log(args.flows, watermark_lag_s=args.lag_s)
+            for event in replay_flow_log(args.flows, args.on_error, args.lag_s, on_skip)
             if isinstance(event, FlowArrival)
         )
         if flows == 0:
@@ -750,7 +769,7 @@ def _cmd_sessions_stream(args: argparse.Namespace, out) -> int:
         stats = SessionStatsAccumulator()
         flows = 0
         last_boundary = float("-inf")
-        for event in replay_flow_log(args.flows, watermark_lag_s=args.lag_s):
+        for event in replay_flow_log(args.flows, args.on_error, args.lag_s, on_skip):
             for window in windower.push(event):
                 flows += len(window)
                 stats.add(builder.observe_window(window))

@@ -238,7 +238,7 @@ class RequestProcessor:
             result.cause_counts["direct"] += 1
         if len(result.startup_delay_samples) < _MAX_PERF_SAMPLES:
             serving = outcome.decision.serving_server
-            rtt_ms = world.latency.min_rtt_ms(site, world.system.server_site(serving))
+            rtt_ms = world.system.floor_rtt_ms(site, serving)
             video_flow = outcome.events[len(outcome.decision.hops) - 1]
             # Startup = redirect chain latency + one more RTT to first byte.
             startup = (video_flow.t_start - request.t_s) + 2.0 * rtt_ms / 1000.0

@@ -25,7 +25,7 @@ from repro.faults.plan import FaultPlan, active_plan
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY, stream_requests
 from repro.sim.scenarios import ScenarioWorld
 from repro.stream.events import FlowArrival, WatermarkAdvance
-from repro.trace.logio import iter_flow_log
+from repro.trace.logio import SkipHook, iter_flow_log
 from repro.trace.records import FlowRecord
 
 #: Ceiling on how many arrivals an injected-disorder record is delayed by.
@@ -67,14 +67,18 @@ def replay_flow_log(
     path: Union[str, Path],
     on_error: str = "raise",
     watermark_lag_s: float = 0.0,
+    on_skip: SkipHook = None,
 ) -> Iterator[object]:
     """Stream a flow-log file (see :func:`replay_records`).
 
     Reads through :func:`repro.trace.logio.iter_flow_log`, so line-level
-    parsing, ``line_garble`` injection and degradation accounting are
-    identical to the batch reader — one record in memory at a time.
+    parsing, ``line_garble`` injection, degradation accounting and the
+    ``on_skip`` hook are identical to the batch reader — one record in
+    memory at a time.
     """
-    events = _replay(iter_flow_log(path, on_error=on_error), watermark_lag_s)
+    events = _replay(
+        iter_flow_log(path, on_error=on_error, on_skip=on_skip), watermark_lag_s
+    )
     return _maybe_disordered(events, Path(path).name)
 
 

@@ -126,7 +126,7 @@ def _parse_line(
                 fields[mapping.resolution] if mapping.resolution is not None else "?"
             ),
         )
-    except (IndexError, ValueError):
+    except (IndexError, ValueError, OverflowError):
         return None
 
 

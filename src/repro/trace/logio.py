@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
@@ -77,8 +77,12 @@ def write_flow_log(records: Iterable[FlowRecord], path: Union[str, Path]) -> int
     return count
 
 
+#: Callback told the 1-based line number of each skipped line.
+SkipHook = Optional[Callable[[int], None]]
+
+
 def _ingest_iter(
-    lines: Iterable[str], source: str, on_error: str
+    lines: Iterable[str], source: str, on_error: str, on_skip: SkipHook = None
 ) -> Iterator[FlowRecord]:
     """Parse data lines one at a time, applying injection and error policy.
 
@@ -93,10 +97,12 @@ def _ingest_iter(
             ``"<string>"``), so the same plan garbles the same lines of
             the same log on every run.
         on_error: ``"raise"`` (default strict mode) or ``"skip"``.
+        on_skip: Called with the 1-based line number of every skipped line.
 
     Raises:
-        ValueError: On malformed lines under ``on_error="raise"``, or for
-            an unknown ``on_error``.
+        ValueError: On malformed lines under ``on_error="raise"`` (the
+            message names the source and 1-based line number), or for an
+            unknown ``on_error``.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -113,11 +119,13 @@ def _ingest_iter(
                 line = line.rstrip("\n")[: max(0, len(line) // 2)]
             try:
                 record = parse_record(line)
-            except ValueError:
+            except ValueError as error:
                 if injected or on_error == "skip":
                     skipped += 1
+                    if on_skip is not None:
+                        on_skip(index + 1)
                     continue
-                raise
+                raise ValueError(f"{source}: line {index + 1}: {error}") from None
             yield record
     finally:
         if skipped:
@@ -125,14 +133,14 @@ def _ingest_iter(
 
 
 def _ingest(
-    lines: Iterable[str], source: str, on_error: str
+    lines: Iterable[str], source: str, on_error: str, on_skip: SkipHook = None
 ) -> List[FlowRecord]:
     """Materialised form of :func:`_ingest_iter` (see there)."""
-    return list(_ingest_iter(lines, source, on_error))
+    return list(_ingest_iter(lines, source, on_error, on_skip))
 
 
 def read_flow_log(
-    path: Union[str, Path], on_error: str = "raise"
+    path: Union[str, Path], on_error: str = "raise", on_skip: SkipHook = None
 ) -> List[FlowRecord]:
     """Read a flow-log file back into records (comments skipped).
 
@@ -141,13 +149,15 @@ def read_flow_log(
         on_error: ``"raise"`` aborts on the first malformed line;
             ``"skip"`` drops malformed lines and records them as
             degradation.
+        on_skip: Called with the 1-based line number of every skipped
+            line.
     """
     with open(path, "r", encoding="ascii") as handle:
-        return _ingest(handle, Path(path).name, on_error)
+        return _ingest(handle, Path(path).name, on_error, on_skip)
 
 
 def iter_flow_log(
-    path: Union[str, Path], on_error: str = "raise"
+    path: Union[str, Path], on_error: str = "raise", on_skip: SkipHook = None
 ) -> Iterator[FlowRecord]:
     """Stream a flow-log file record by record (constant memory).
 
@@ -159,9 +169,10 @@ def iter_flow_log(
     Args:
         path: The log file.
         on_error: ``"raise"`` or ``"skip"`` (see :func:`read_flow_log`).
+        on_skip: See :func:`read_flow_log`.
     """
     with open(path, "r", encoding="ascii") as handle:
-        yield from _ingest_iter(handle, Path(path).name, on_error)
+        yield from _ingest_iter(handle, Path(path).name, on_error, on_skip)
 
 
 def dumps(records: Iterable[FlowRecord]) -> str:

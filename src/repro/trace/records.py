@@ -18,6 +18,11 @@ from repro.net.topology import VantagePoint
 #: One simulated trace week, in seconds.
 WEEK_S = 7 * 86400.0
 
+_INF = float("inf")
+
+#: Byte counts are stored as int64 in the columnar layout.
+_MAX_BYTES = 2**63
+
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -43,10 +48,18 @@ class FlowRecord:
     resolution: str
 
     def __post_init__(self) -> None:
-        if self.t_end < self.t_start:
+        # Plain comparisons only: every simulated flow passes through here.
+        # ``not (a <= b)`` is also true when either side is NaN.
+        if not (self.t_start <= self.t_end):
+            if self.t_start != self.t_start or self.t_end != self.t_end:
+                raise ValueError("flow timestamp is NaN")
             raise ValueError("flow ends before it starts")
+        if not (-_INF < self.t_start and self.t_end < _INF):
+            raise ValueError("flow timestamp is infinite")
         if self.num_bytes < 0:
             raise ValueError("negative byte count")
+        if self.num_bytes >= _MAX_BYTES:
+            raise ValueError("byte count does not fit in 64 bits")
 
     @property
     def duration_s(self) -> float:

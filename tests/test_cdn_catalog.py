@@ -1,20 +1,73 @@
 """Tests for the video catalog."""
 
+import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdn.catalog import (
     DEFAULT_NUM_SHARDS,
+    VIDEO_ID_LENGTH,
     Resolution,
     Video,
     VideoCatalog,
     encode_video_id,
     hostname_for_video,
+    shard_hostname,
     shard_of,
 )
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+_ID_SPACE = 64 ** VIDEO_ID_LENGTH
+
+
+def reference_video_id(index):
+    """The digit-by-digit encoder the base64 one must match."""
+    scrambled = (index * 6364136223846793005 + 1442695040888963407) % _ID_SPACE
+    chars = []
+    for _ in range(VIDEO_ID_LENGTH):
+        scrambled, digit = divmod(scrambled, 64)
+        chars.append(_ALPHABET[digit])
+    return "".join(chars)
+
+
+class EagerCatalog:
+    """Reference catalog: every video built up front, same RNG draws."""
+
+    def __init__(self, size, zipf_alpha=1.0, seed=0, num_featured_days=7,
+                 featured_share=0.05):
+        rng = np.random.default_rng(seed)
+        shift = max(4.0, size / 100.0)
+        weights = (np.arange(1, size + 1, dtype=np.float64) + shift) ** (-zipf_alpha)
+        self.cumulative = np.cumsum(weights)
+        durations = np.clip(
+            rng.lognormal(mean=math.log(120.0), sigma=0.7, size=size), 20.0, 2700.0
+        )
+        self.videos = [
+            Video(reference_video_id(i), i, float(durations[i]), float(weights[i]))
+            for i in range(size)
+        ]
+        band_lo, band_hi = size // 3, max(size // 3 + num_featured_days, size // 2)
+        picks = rng.choice(np.arange(band_lo, band_hi), size=num_featured_days,
+                           replace=False)
+        self.featured = {day: self.videos[int(i)] for day, i in enumerate(sorted(picks))}
+        self.featured_share = featured_share
+
+    def sample(self, u, t_s=None):
+        if t_s is not None:
+            featured = self.featured.get(int(t_s // 86400.0))
+            if featured is not None:
+                if u < self.featured_share:
+                    return featured
+                u = (u - self.featured_share) / (1.0 - self.featured_share)
+        target = u * float(self.cumulative[-1])
+        index = int(np.searchsorted(self.cumulative, target, side="right"))
+        return self.videos[min(index, len(self.videos) - 1)]
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +101,23 @@ class TestVideoIds:
         vid = encode_video_id(77)
         host = hostname_for_video(vid)
         assert host.startswith(f"v{shard_of(vid)}.")
+        assert host == shard_hostname(shard_of(vid))
+
+    @given(st.integers(min_value=0, max_value=_ID_SPACE - 1))
+    @settings(max_examples=500)
+    def test_matches_reference_encoder(self, index):
+        assert encode_video_id(index) == reference_video_id(index)
+
+    @pytest.mark.parametrize(
+        "index", [0, 1, 63, 64, 2**32, 2**63, _ID_SPACE - 2, _ID_SPACE - 1,
+                  _ID_SPACE, 3 * _ID_SPACE + 5, 10**30],
+    )
+    def test_matches_reference_encoder_at_edges(self, index):
+        assert encode_video_id(index) == reference_video_id(index)
+
+    def test_matches_reference_encoder_on_catalog_range(self):
+        for index in range(20_000):
+            assert encode_video_id(index) == reference_video_id(index)
 
 
 class TestResolutions:
@@ -117,6 +187,66 @@ class TestCatalog:
         b = VideoCatalog(size=100, seed=9)
         assert [v.video_id for v in a] == [v.video_id for v in b]
         assert [v.duration_s for v in a] == [v.duration_s for v in b]
+
+
+class TestLazyCatalog:
+    """The built-on-touch catalog against an eagerly built reference."""
+
+    SIZE = 3000
+    KW = dict(zipf_alpha=0.9, seed=11, num_featured_days=5, featured_share=0.2)
+
+    @pytest.fixture()
+    def pair(self):
+        return VideoCatalog(size=self.SIZE, **self.KW), EagerCatalog(self.SIZE, **self.KW)
+
+    def test_by_rank_matches(self, pair):
+        lazy, eager = pair
+        for rank in (0, 1, 17, self.SIZE // 2, self.SIZE - 1, -1, -self.SIZE):
+            assert lazy.by_rank(rank) == eager.videos[rank]
+        with pytest.raises(IndexError):
+            lazy.by_rank(self.SIZE)
+
+    def test_by_rank_is_cached(self, pair):
+        lazy, _ = pair
+        assert lazy.by_rank(42) is lazy.by_rank(42)
+        assert lazy.by_rank(-1) is lazy.by_rank(self.SIZE - 1)
+
+    @pytest.fixture(scope="class")
+    def shared_pair(self):
+        return VideoCatalog(size=self.SIZE, **self.KW), EagerCatalog(self.SIZE, **self.KW)
+
+    @given(u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           t_s=st.one_of(st.none(), st.floats(min_value=0.0, max_value=8 * 86400.0)))
+    @settings(max_examples=300)
+    def test_sample_matches(self, shared_pair, u, t_s):
+        lazy, eager = shared_pair
+        assert lazy.sample(u, t_s) == eager.sample(u, t_s)
+
+    def test_featured_iteration_and_get_match(self, pair):
+        lazy, eager = pair
+        assert lazy.featured_videos == [eager.featured[d] for d in sorted(eager.featured)]
+        assert list(lazy) == eager.videos
+        for video in eager.videos[::97]:
+            assert lazy.get(video.video_id) is lazy.by_rank(video.rank)
+        with pytest.raises(KeyError):
+            lazy.get("nonexistent!")
+
+    def test_partly_built_catalog_pickles(self, pair):
+        lazy, eager = pair
+        rng = random.Random(5)
+        touched = [lazy.sample(rng.random(), t_s=rng.uniform(0, 86400.0)) for _ in range(50)]
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert [copy.by_rank(v.rank) for v in touched] == touched
+        assert list(copy) == eager.videos
+        assert copy.get(touched[0].video_id) is copy.by_rank(touched[0].rank)
+
+    def test_build_world_builds_only_featured_videos(self):
+        world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.01, seed=7,
+                            duration_s=86400.0)
+        catalog = world.system.catalog
+        built = sorted(v.rank for v in catalog._videos if v is not None)
+        assert built == sorted(v.rank for v in catalog.featured_videos)
+        assert len(built) < len(catalog)
 
 
 class TestFeatured:

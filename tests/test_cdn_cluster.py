@@ -1,12 +1,19 @@
 """Tests for the assembled CDN's request handling."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.cdn.catalog import Resolution
 from repro.cdn.cluster import KIND_CONTROL, KIND_VIDEO
+from repro.cdn.datacenter import ContentServer
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES
+from repro.geo.coords import GeoPoint
+from repro.net.ip import parse_ip
+from repro.net.latency import AccessTechnology
+from repro.sim.multistudy import build_shared_worlds
+from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
 
 
 @pytest.fixture
@@ -127,3 +134,73 @@ class TestAssetFlows:
             for s in world.system.directory.get(dc_id).servers
         }
         assert all(e.server_ip not in ranked_servers for e in asset_events)
+
+
+
+@pytest.fixture(scope="module")
+def day_worlds():
+    """One-day world per paper scenario (fresh, so their memos start empty)."""
+    return {
+        name: build_world(PAPER_SCENARIOS[name], scale=0.01, seed=7, duration_s=86400.0)
+        for name in DATASET_NAMES
+    }
+
+
+def _floor_servers(system):
+    """First and last server of every Google DC, plus every legacy and
+    third-party server."""
+    servers = [s for dc in system.directory for s in (dc.servers[0], dc.servers[-1])]
+    return servers + system._legacy_servers + system._third_party_servers
+
+
+def _assert_floor_memo_exact(world, clients):
+    system = world.system
+    for client in clients:
+        site = world.vantage.client_site(client.ip)
+        for server in _floor_servers(system):
+            expected = world.latency.min_rtt_ms(site, system.server_site(server))
+            assert system.floor_rtt_ms(site, server) == expected  # memo miss
+            assert system.floor_rtt_ms(site, server) == expected  # memo hit
+
+
+class TestFloorMemo:
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_matches_latency_model(self, day_worlds, name):
+        world = day_worlds[name]
+        _assert_floor_memo_exact(world, list(world.population)[:3])
+        # Every client of a vantage point shares one position: one entry
+        # per data center however many clients ask.
+        dcs = {server.dc_id for server in _floor_servers(world.system)}
+        assert len(world.system._floor_memo) == len(dcs)
+
+    def test_scenarios_cover_legacy_and_third_party(self, day_worlds):
+        systems = [world.system for world in day_worlds.values()]
+        assert any(system._legacy_servers for system in systems)
+        assert any(system._third_party_servers for system in systems)
+
+    def test_shared_system_keeps_vantages_apart(self):
+        worlds = build_shared_worlds(scale=0.01, duration_s=86400.0)
+        assert len({id(world.system) for world in worlds.values()}) == 1
+        for world in worlds.values():
+            _assert_floor_memo_exact(world, list(world.population)[:2])
+
+    def test_every_key_field_counts(self, day_worlds):
+        world = day_worlds["EU2"]
+        base = world.vantage.client_site(next(iter(world.population)).ip)
+        variants = [
+            base,
+            replace(base, group="elsewhere"),
+            replace(base, extra_ms=base.extra_ms + 7.0),
+            replace(base, access=AccessTechnology.FTTH),
+            replace(base, point=GeoPoint(base.point.lat + 3.0, base.point.lon)),
+        ]
+        for site in variants:
+            for server in _floor_servers(world.system):
+                expected = world.latency.min_rtt_ms(site, world.system.server_site(server))
+                assert world.system.floor_rtt_ms(site, server) == expected
+
+    def test_unknown_server_still_raises(self, tiny_world):
+        site = tiny_world.vantage.client_site(next(iter(tiny_world.population)).ip)
+        stranger = ContentServer(ip=parse_ip("203.0.113.9"), dc_id="dc-nowhere", index=0)
+        with pytest.raises(KeyError):
+            tiny_world.system.floor_rtt_ms(site, stranger)

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,73 @@ class TestStudyStreamGating:
         for flag in flags:
             assert flag in error
         assert expected in error  # names the exact batch equivalent
+
+
+_GOOD = "10.0.0.1\t10.1.0.1\t5000\t{t0}\t{t1}\tAAAAAAAAAAA\t360p\n"
+
+#: Hostile logs: each is a valid log except for line 3.
+_HOSTILE = {
+    "nan_timestamp": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
+    + _GOOD.format(t0="nan", t1=3.0) + _GOOD.format(t0=4.0, t1=5.0),
+    "inf_timestamp": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
+    + _GOOD.format(t0=3.0, t1="inf") + _GOOD.format(t0=4.0, t1=5.0),
+    "garbage": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
+    + "not a flow\n" + _GOOD.format(t0=4.0, t1=5.0),
+    "huge_bytes": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
+    + _GOOD.format(t0=3.0, t1=3.5).replace("\t5000\t", f"\t{10**23}\t")
+    + _GOOD.format(t0=4.0, t1=5.0),
+}
+
+
+def _sessions_subprocess(log, kernels, *extra):
+    env = dict(os.environ, REPRO_KERNELS=kernels, REPRO_CACHE="off")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "sessions", "--flows", str(log),
+         "--gaps", "1,300", *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestHostileFlowLogs:
+    """A hostile value is a malformed line under both kernel backends."""
+
+    @pytest.mark.parametrize("kernels", ["numpy", "python"])
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_rejected_with_exit_2(self, tmp_path, case, kernels):
+        log = tmp_path / f"{case}.tsv"
+        log.write_text(_HOSTILE[case])
+        proc = _sessions_subprocess(log, kernels)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"{case}.tsv: line 3:" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_skip_counts_the_line(self, tmp_path, case, stream):
+        log = tmp_path / f"{case}.tsv"
+        log.write_text(_HOSTILE[case])
+        extra = ["--on-error", "skip"] + (["--stream"] if stream else [])
+        code, text = run_cli("sessions", "--flows", str(log), "--gaps", "1,300", *extra)
+        assert code == 0
+        assert text.splitlines()[0] == "2 flows"
+
+    def test_skip_reports_on_stderr(self, tmp_path, capsys):
+        log = tmp_path / "nan.tsv"
+        log.write_text(_HOSTILE["nan_timestamp"])
+        code, _ = run_cli("sessions", "--flows", str(log), "--on-error", "skip")
+        assert code == 0
+        assert "skipped 1 malformed line(s)" in capsys.readouterr().err
+
+    def test_backends_agree_once_skipped(self, tmp_path):
+        log = tmp_path / "nan.tsv"
+        log.write_text(_HOSTILE["nan_timestamp"])
+        outputs = {
+            kernels: _sessions_subprocess(log, kernels, "--on-error", "skip")
+            for kernels in ("numpy", "python")
+        }
+        assert all(proc.returncode == 0 for proc in outputs.values())
+        assert outputs["numpy"].stdout == outputs["python"].stdout
+        assert "skipped 1 malformed line(s)" in outputs["numpy"].stderr

@@ -39,6 +39,28 @@ class TestFlowRecord:
         with pytest.raises(ValueError):
             record(nbytes=-1)
 
+    @pytest.mark.parametrize(
+        "t0, t1, message",
+        [
+            (float("nan"), 5.0, "NaN"),
+            (1.0, float("nan"), "NaN"),
+            (float("nan"), float("nan"), "NaN"),
+            (float("-inf"), 5.0, "infinite"),
+            (1.0, float("inf"), "infinite"),
+            (float("inf"), float("inf"), "infinite"),
+        ],
+    )
+    def test_non_finite_timestamps_rejected(self, t0, t1, message):
+        with pytest.raises(ValueError, match=message):
+            record(t0=t0, t1=t1)
+
+    def test_byte_count_must_fit_int64(self):
+        assert record(nbytes=2**63 - 1).num_bytes == 2**63 - 1
+        with pytest.raises(ValueError, match="64 bits"):
+            record(nbytes=2**63)
+        with pytest.raises(ValueError, match="64 bits"):
+            record(nbytes=10**23)
+
 
 class TestDataset:
     @pytest.fixture
@@ -208,6 +230,20 @@ class TestLogIo:
     def test_malformed_line_raises(self):
         with pytest.raises(ValueError):
             parse_record("only\tthree\tfields")
+
+    def test_error_names_the_line(self):
+        bad = format_record(record()).replace("\t10.0\t", "\tnan\t")
+        text = "# header\n" + format_record(record()) + "\n\n" + bad + "\n"
+        with pytest.raises(ValueError, match=r"<string>: line 4: flow timestamp is NaN"):
+            loads(text)
+
+    def test_skip_reports_line_numbers(self, tmp_path):
+        good = format_record(record())
+        path = tmp_path / "flows.tsv"
+        path.write_text(f"# header\n{good}\ngarbage\n{good}\nmore garbage\n")
+        skipped = []
+        assert len(read_flow_log(path, on_error="skip", on_skip=skipped.append)) == 2
+        assert skipped == [3, 5]
 
     @given(
         st.integers(min_value=0, max_value=(1 << 32) - 1),

@@ -48,6 +48,18 @@ class TestImport:
         assert result.skipped_lines == 3
         assert result.skip_fraction == pytest.approx(0.75)
 
+    def test_hostile_values_counted_not_fatal(self, tmp_path):
+        path = write_log(tmp_path, [
+            "10.0.0.1 173.194.0.5 50000 100.0 110.0 AAAAAAAAAAA 360p",
+            "10.0.0.1 173.194.0.5 inf 100.0 110.0 AAAAAAAAAAA 360p",
+            "10.0.0.1 173.194.0.5 1e30 100.0 110.0 AAAAAAAAAAA 360p",
+            "10.0.0.1 173.194.0.5 50000 100.0 nan AAAAAAAAAAA 360p",
+            "10.0.0.1 173.194.0.5 50000 100.0 inf AAAAAAAAAAA 360p",
+        ])
+        result = import_flow_log(path, SIMPLE)
+        assert result.parsed_lines == 1
+        assert result.skipped_lines == 4
+
     def test_duration_based_mapping(self, tmp_path):
         mapping = ColumnMapping(
             src_ip=0, dst_ip=1, num_bytes=2, t_start=3, duration=4
