@@ -3,14 +3,15 @@
 Times the throughput-critical paths a user sizes their runs by: world
 construction (what each short epoch of ``repro monitor`` pays before its
 first request), the request engine (requests/second through DNS +
-redirection + trace collection) and the CBG solver (targets/second once
-calibrated).
+redirection + trace collection, batch with its tallies and streamed
+without them) and the CBG solver (targets/second once calibrated).
 """
 
 import pytest
 
-from repro.sim.engine import RequestProcessor
+from repro.sim.engine import RequestProcessor, run_requests, stream_requests
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+from repro.stream.events import FlowArrival
 
 
 @pytest.fixture(scope="module")
@@ -18,12 +19,13 @@ def engine_world():
     return build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.02, seed=42)
 
 
-def test_bench_world_build(benchmark, save_artifact):
-    def build():
-        return build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.1, seed=42,
-                           duration_s=86400.0)
+def _one_day_world():
+    return build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.1, seed=42,
+                       duration_s=86400.0)
 
-    world = benchmark(build)
+
+def test_bench_world_build(benchmark, save_artifact):
+    world = benchmark(_one_day_world)
     mean_ms = benchmark.stats.stats.mean * 1000.0
     save_artifact(
         "perf_world_build",
@@ -41,7 +43,7 @@ def test_bench_engine_throughput(benchmark, engine_world, save_artifact):
     def run_batch():
         processor = RequestProcessor(engine_world)
         for request in requests:
-            processor.process(request)
+            processor.tally(request, processor.process(request))
         return processor.result.requests
 
     count = benchmark(run_batch)
@@ -54,6 +56,30 @@ def test_bench_engine_throughput(benchmark, engine_world, save_artifact):
     )
     # A full paper-scale week (~670k requests) should stay tractable.
     assert ops > 5_000
+
+
+def test_bench_stream_world(benchmark, save_artifact):
+    def drain(world):
+        requests = flows = 0
+        for event in stream_requests(world):
+            if isinstance(event, FlowArrival):
+                flows += 1
+            else:
+                requests += 1
+        return requests - 1, flows  # the last watermark closes the stream
+
+    # Each round drains a freshly built world: serving mutates the CDN.
+    requests, flows = benchmark.pedantic(
+        drain, setup=lambda: ((_one_day_world(),), {}), rounds=3, iterations=1
+    )
+    batch = run_requests(_one_day_world())
+    assert (requests, flows) == (batch.requests, len(batch.dataset))
+    per_s = requests / benchmark.stats.stats.mean
+    save_artifact(
+        "perf_stream_world",
+        f"streamed world: {per_s:,.0f} requests/s draining a one-day EU1-ADSL world "
+        f"at scale 0.1 ({requests} requests, {flows} flows per round)",
+    )
 
 
 def test_bench_cbg_throughput(benchmark, pipe, save_artifact):

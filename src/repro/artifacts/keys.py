@@ -43,8 +43,9 @@ import os
 from typing import Any, Optional
 
 #: Bump whenever a change to simulator or analysis code alters any stage's
-#: output for unchanged inputs; every existing artifact then misses.
-CODE_VERSION = "3"
+#: output for unchanged inputs, or the pickled layout of a cached object;
+#: every existing artifact then misses.
+CODE_VERSION = "4"
 
 #: Environment override for the code-version tag (tests use it to force
 #: invalidation without editing source).

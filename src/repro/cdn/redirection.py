@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.catalog import Video
 from repro.cdn.datacenter import ContentServer, DataCenter, DataCenterDirectory
@@ -112,6 +112,9 @@ class RedirectionEngine:
         self._rng = random.Random(seed)
         # server_ip -> [hour_index, serves_this_hour]
         self._load: Dict[int, List[float]] = {}
+        # (from dc_id, holder dc_id) -> great-circle km, filled as
+        # :meth:`_nearest_holder` touches pairs (at most #DC² entries).
+        self._dist: Dict[Tuple[str, str], float] = {}
         self.miss_redirects = 0
         self.overload_redirects = 0
         self.rebalances = 0
@@ -191,13 +194,17 @@ class RedirectionEngine:
         """
         best: Optional[DataCenter] = None
         best_km = float("inf")
+        from_id = from_dc.dc_id
+        dist = self._dist
         for dc_id in self._placement.holders(video):
-            if dc_id == from_dc.dc_id:
+            if dc_id == from_id:
                 continue
             if allowed is not None and dc_id not in allowed:
                 continue
             dc = self._directory.get(dc_id)
-            d = haversine_km(from_dc.city.point, dc.city.point)
+            d = dist.get((from_id, dc_id))
+            if d is None:
+                d = dist[from_id, dc_id] = haversine_km(from_dc.city.point, dc.city.point)
             if d < best_km:
                 best, best_km = dc, d
         return best

@@ -147,9 +147,17 @@ def build_epoch_snapshot(
     vantage = world.vantage
     name = world.spec.name
 
+    # A world's subnets are fixed, so each client's subnet is looked up
+    # once per epoch rather than once per flow.
+    subnet_names: Dict[int, Optional[str]] = {}
+
     def subnet_of(client_ip: int) -> Optional[str]:
-        subnet = vantage.subnet_of(client_ip)
-        return None if subnet is None else subnet.name
+        try:
+            return subnet_names[client_ip]
+        except KeyError:
+            subnet = vantage.subnet_of(client_ip)
+            found = subnet_names[client_ip] = None if subnet is None else subnet.name
+            return found
 
     accumulator = EdgeCloudAccumulator(subnet_of, prefix_len=prefix_len)
     windower = TumblingWindower(min(window_s, world.duration_s))

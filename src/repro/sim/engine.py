@@ -144,9 +144,16 @@ class SimulationResult:
 class RequestProcessor:
     """Per-vantage processing state: monitor, RNG, caches, result tallies.
 
-    Both the per-scenario engine (:func:`run_requests`) and the shared-world
-    engine (:func:`repro.sim.multistudy.run_shared`) drive one of these per
-    dataset.
+    Serving and tallying are separate steps.  :meth:`process` serves one
+    request and hands its flows to the monitor; it is the only step that
+    consumes the serve and miss RNGs, so it alone fixes every emitted
+    record.  :meth:`tally` then folds the outcome into :attr:`result`:
+    counts, ground truth, causes and performance samples, none of which
+    draws randomness.  The batch engines (:func:`run_requests` and
+    :func:`repro.sim.multistudy.run_shared`) do both, because their
+    :class:`SimulationResult` is cached and read by evaluation and what-if
+    code.  :func:`stream_requests` only processes: it never returns a
+    result, so tallying a streamed world would be work nobody reads.
     """
 
     def __init__(
@@ -183,9 +190,8 @@ class RequestProcessor:
             self._anchor_resolver = f"{world.spec.name}/{subnets[0].name}"
 
     def process(self, request: Request) -> RequestOutcome:
-        """Serve one request, record its flows and ground truth."""
+        """Serve one request and record its flows (no tallies)."""
         world = self.world
-        result = self.result
         client_ip = request.client.ip
         site = self._site_cache.get(client_ip)
         if site is None:
@@ -205,6 +211,13 @@ class RequestProcessor:
             rng=self._serve_rng,
         )
         self.monitor.observe_all(outcome.events)
+        return outcome
+
+    def tally(self, request: Request, outcome: RequestOutcome) -> None:
+        """Fold a processed request's outcome into :attr:`result`."""
+        world = self.world
+        result = self.result
+        client_ip = request.client.ip
         result.requests += 1
         result.dns_dc_counts[outcome.dns_dc_id] += 1
         result.served_dc_counts[outcome.served_dc_id] += 1
@@ -238,13 +251,12 @@ class RequestProcessor:
             result.cause_counts["direct"] += 1
         if len(result.startup_delay_samples) < _MAX_PERF_SAMPLES:
             serving = outcome.decision.serving_server
-            rtt_ms = world.system.floor_rtt_ms(site, serving)
+            rtt_ms = world.system.floor_rtt_ms(self._site_cache[client_ip], serving)
             video_flow = outcome.events[len(outcome.decision.hops) - 1]
             # Startup = redirect chain latency + one more RTT to first byte.
             startup = (video_flow.t_start - request.t_s) + 2.0 * rtt_ms / 1000.0
             result.startup_delay_samples.append(startup)
             result.serving_rtt_samples.append(rtt_ms)
-        return outcome
 
     def finish(self) -> SimulationResult:
         """Close collection and return the populated result."""
@@ -274,7 +286,7 @@ def run_requests(
         requests = world.generator.generate(world.duration_s)
     processor = RequestProcessor(world, miss_probability=miss_probability)
     for request in requests:
-        processor.process(request)
+        processor.tally(request, processor.process(request))
     return processor.finish()
 
 
@@ -289,10 +301,12 @@ def stream_requests(
     :class:`~repro.stream.events.FlowArrival` events instead of collecting
     a :class:`~repro.trace.records.Dataset`.  Request processing is
     identical to :func:`run_requests` — same
-    :class:`RequestProcessor`, same miss/serve RNG consumption — so the
-    emitted records are exactly the batch dataset's records, in monitor
-    observation order.  Only the retention differs: flows are handed off
-    as they are observed, keeping memory independent of the flow count.
+    :meth:`RequestProcessor.process`, same miss/serve RNG consumption — so
+    the emitted records are exactly the batch dataset's records, in
+    monitor observation order.  Only the retention differs: flows are
+    handed off as they are observed, keeping memory independent of the
+    flow count, and nothing is tallied (no ground truth, no counts, no
+    performance samples), since no :class:`SimulationResult` is returned.
 
     Watermark semantics: requests are processed in increasing ``t_s`` and
     every flow a request produces starts at or after its ``t_s``, so the

@@ -368,7 +368,8 @@ def run_shared(
 
         processors = {name: RequestProcessor(world) for name, world in worlds.items()}
         for _, name, request in tagged:
-            processors[name].process(request)
+            processor = processors[name]
+            processor.tally(request, processor.process(request))
         return {name: processor.finish() for name, processor in processors.items()}
 
 

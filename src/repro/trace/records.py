@@ -18,7 +18,10 @@ from repro.net.topology import VantagePoint
 #: One simulated trace week, in seconds.
 WEEK_S = 7 * 86400.0
 
-_INF = float("inf")
+#: Largest accepted timestamp magnitude, in seconds.  Doubles stop holding
+#: every integer beyond it, and the columnar ``hour`` cast stays far inside
+#: int64; it also rejects infinity.
+_MAX_ABS_T_S = 2.0**53
 
 #: Byte counts are stored as int64 in the columnar layout.
 _MAX_BYTES = 2**63
@@ -54,8 +57,8 @@ class FlowRecord:
             if self.t_start != self.t_start or self.t_end != self.t_end:
                 raise ValueError("flow timestamp is NaN")
             raise ValueError("flow ends before it starts")
-        if not (-_INF < self.t_start and self.t_end < _INF):
-            raise ValueError("flow timestamp is infinite")
+        if not (-_MAX_ABS_T_S < self.t_start and self.t_end < _MAX_ABS_T_S):
+            raise ValueError("flow timestamp is infinite or out of range (|t| >= 2**53 s)")
         if self.num_bytes < 0:
             raise ValueError("negative byte count")
         if self.num_bytes >= _MAX_BYTES:

@@ -8,6 +8,8 @@ share of the requests, as in any real edge trace.
 
 from __future__ import annotations
 
+import bisect
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -40,8 +42,10 @@ class ClientPopulation:
         self.vantage = vantage
         self._clients = clients
         weights = np.array([c.activity for c in clients], dtype=np.float64)
-        self._cumulative = np.cumsum(weights)
-        self._total = float(self._cumulative[-1])
+        # The same doubles in an ``array`` for ``bisect``, without numpy's
+        # per-call dispatch on every sampled request.
+        self._cumulative = array("d", np.cumsum(weights).tobytes())
+        self._total = self._cumulative[-1]
 
     def __len__(self) -> int:
         return len(self._clients)
@@ -57,7 +61,7 @@ class ClientPopulation:
         """
         if not 0.0 <= u < 1.0:
             raise ValueError(f"u out of [0,1): {u}")
-        index = int(np.searchsorted(self._cumulative, u * self._total, side="right"))
+        index = bisect.bisect_right(self._cumulative, u * self._total)
         return self._clients[min(index, len(self._clients) - 1)]
 
     def by_subnet(self) -> Dict[str, List[Client]]:

@@ -237,6 +237,8 @@ class TestLazyCatalog:
         touched = [lazy.sample(rng.random(), t_s=rng.uniform(0, 86400.0)) for _ in range(50)]
         copy = pickle.loads(pickle.dumps(lazy))
         assert [copy.by_rank(v.rank) for v in touched] == touched
+        draws = [(rng.random(), rng.uniform(0, 6 * 86400.0)) for _ in range(200)]
+        assert [copy.sample(u, t) for u, t in draws] == [lazy.sample(u, t) for u, t in draws]
         assert list(copy) == eager.videos
         assert copy.get(touched[0].video_id) is copy.by_rank(touched[0].rank)
 
@@ -247,6 +249,62 @@ class TestLazyCatalog:
         built = sorted(v.rank for v in catalog._videos if v is not None)
         assert built == sorted(v.rank for v in catalog.featured_videos)
         assert len(built) < len(catalog)
+
+
+class TestSamplerOracle:
+    """The bisected list against ``np.searchsorted`` over the cumulative array.
+
+    :class:`EagerCatalog` keeps the ndarray and searches it with numpy, so
+    every case here compares the catalog with that reference.
+    """
+
+    SIZE = 3000
+    KW = dict(zipf_alpha=0.9, seed=11, num_featured_days=5, featured_share=0.2)
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return VideoCatalog(size=self.SIZE, **self.KW), EagerCatalog(self.SIZE, **self.KW)
+
+    @given(k=st.integers(min_value=0, max_value=SIZE - 1),
+           t_s=st.sampled_from([None, 100.0, 3 * 86400.0 + 5.0, 30 * 86400.0]))
+    @settings(max_examples=300)
+    def test_targets_on_cumulative_entries(self, pair, k, t_s):
+        lazy, eager = pair
+        entry = float(eager.cumulative[k])
+        u = entry / float(eager.cumulative[-1])
+        if u < 1.0:
+            assert lazy.sample(u, t_s) == eager.sample(u, t_s)
+
+    def test_exact_ties_are_exercised(self, pair):
+        # Most entries survive the u round trip exactly, so the property
+        # above really compares ties (target == a cumulative entry).
+        _, eager = pair
+        total = float(eager.cumulative[-1])
+        exact = sum((c / total) * total == c for c in eager.cumulative.tolist())
+        assert exact > self.SIZE // 2
+
+    @pytest.mark.parametrize("u", [0.0, 5e-324, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("t_s", [None, 100.0])
+    def test_edges(self, pair, u, t_s):
+        lazy, eager = pair
+        assert lazy.sample(u, t_s) == eager.sample(u, t_s)
+
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @settings(max_examples=300)
+    def test_cutoff_matches(self, pair, fraction):
+        lazy, eager = pair
+        target = fraction * float(eager.cumulative[-1])
+        expected = int(np.searchsorted(eager.cumulative, target, side="left")) + 1
+        assert lazy.popularity_cutoff_rank(fraction) == expected
+
+    def test_cutoff_matches_on_cumulative_entries(self, pair):
+        lazy, eager = pair
+        total = float(eager.cumulative[-1])
+        for entry in eager.cumulative.tolist():
+            fraction = entry / total
+            target = fraction * total
+            expected = int(np.searchsorted(eager.cumulative, target, side="left")) + 1
+            assert lazy.popularity_cutoff_rank(fraction) == expected
 
 
 class TestFeatured:

@@ -14,8 +14,10 @@ from repro.cdn.redirection import (
 )
 from repro.cdn.store import ContentPlacement
 from repro.geo.cities import default_atlas
+from repro.geo.coords import haversine_km
 from repro.net.asn import GOOGLE_ASN
 from repro.net.ip import Ipv4Allocator, parse_network
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 
 DC_CITIES = ["Milan", "Zurich", "Paris", "Chicago"]
 
@@ -185,3 +187,43 @@ class TestValidation:
             RedirectionEngine(directory, placement, intra_shed_fraction=1.5)
         with pytest.raises(ValueError):
             RedirectionEngine(directory, placement, origin_fetch_probability=-0.1)
+
+
+def plain_nearest_holder(directory, placement, from_dc, video, allowed=None):
+    """Reference: the nearest holder by a fresh haversine scan."""
+    best, best_km = None, float("inf")
+    for dc_id in placement.holders(video):
+        if dc_id == from_dc.dc_id or (allowed is not None and dc_id not in allowed):
+            continue
+        dc = directory.get(dc_id)
+        d = haversine_km(from_dc.city.point, dc.city.point)
+        if d < best_km:
+            best, best_km = dc, d
+    return best
+
+
+class TestNearestHolderMemo:
+    def test_memo_equals_plain_scan_on_a_paper_world(self):
+        world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.004, seed=7,
+                            duration_s=86400.0)
+        system = world.system
+        engine, directory, placement = system.redirection, system.directory, system.placement
+        catalog = system.catalog
+        dc_ids = placement.holders(catalog.by_rank(0))  # head: every data center
+        videos = [catalog.by_rank(rank) for rank in range(0, len(catalog), 97)]
+        allowed = frozenset(dc_ids[::2])
+        for from_dc in directory:
+            for video in videos:
+                for only in (None, allowed):
+                    assert engine._nearest_holder(from_dc, video, only) is (
+                        plain_nearest_holder(directory, placement, from_dc, video, only)
+                    )
+        # The head video touched every (from, holder) pair, and each memo
+        # entry is that pair's great-circle distance.
+        assert set(engine._dist) == {
+            (from_dc.dc_id, dc_id) for from_dc in directory for dc_id in dc_ids
+            if dc_id != from_dc.dc_id
+        }
+        for (from_id, dc_id), km in engine._dist.items():
+            assert km == haversine_km(directory.get(from_id).city.point,
+                                      directory.get(dc_id).city.point)

@@ -262,6 +262,8 @@ _HOSTILE = {
     + _GOOD.format(t0=3.0, t1="inf") + _GOOD.format(t0=4.0, t1=5.0),
     "garbage": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
     + "not a flow\n" + _GOOD.format(t0=4.0, t1=5.0),
+    "huge_timestamp": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
+    + _GOOD.format(t0=1e300, t1=1e300) + _GOOD.format(t0=4.0, t1=5.0),
     "huge_bytes": "#h\n" + _GOOD.format(t0=1.0, t1=2.0)
     + _GOOD.format(t0=3.0, t1=3.5).replace("\t5000\t", f"\t{10**23}\t")
     + _GOOD.format(t0=4.0, t1=5.0),
@@ -290,9 +292,11 @@ class TestHostileFlowLogs:
         proc = _sessions_subprocess(log, kernels)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert f"{case}.tsv: line 3:" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("stream", [False, True])
     @pytest.mark.parametrize("case", sorted(_HOSTILE))
     def test_skip_counts_the_line(self, tmp_path, case, stream):

@@ -21,7 +21,7 @@ from repro.core.streaming import HotSpotDetector, LoadBalanceDetector
 from repro.core.summary import summarize
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
-from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
 from repro.stream import (
     FlowArrival,
     StreamingDigest,
@@ -227,48 +227,54 @@ class TestStreamingDigest:
         assert digest.records == 3
 
 
-@pytest.fixture(scope="module")
-def streamed_eu1(study_results):
-    """EU1-ADSL consumed as a stream, from a fresh same-seed world."""
+@pytest.fixture(scope="module", params=DATASET_NAMES)
+def streamed(request, study_results):
+    """A paper dataset consumed as a stream from a fresh same-seed world,
+    with its batch result."""
     from tests.conftest import TEST_SCALE, TEST_SEED
 
-    world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=TEST_SCALE,
+    world = build_world(PAPER_SCENARIOS[request.param], scale=TEST_SCALE,
                         seed=TEST_SEED)
-    return stream_dataset(world, window_s=3600.0)
+    return stream_dataset(world, window_s=3600.0), study_results[request.param]
 
 
 class TestSimulatedStreamParity:
-    def test_digest_matches_batch_dataset(self, streamed_eu1, eu1_adsl):
-        assert (streamed_eu1.digest.hexdigest()
-                == eu1_adsl.dataset.content_digest())
+    """Streaming serves without tallying; the records must not notice."""
 
-    def test_summary_matches_batch(self, streamed_eu1, eu1_adsl):
-        assert (streamed_eu1.traffic.summary("EU1-ADSL")
-                == summarize(eu1_adsl.dataset))
+    def test_digest_matches_batch_dataset(self, streamed):
+        stream, batch = streamed
+        assert stream.digest.hexdigest() == batch.dataset.content_digest()
 
-    def test_server_ips_match_batch(self, streamed_eu1, eu1_adsl):
-        assert streamed_eu1.traffic.server_ips() == eu1_adsl.dataset.server_ips
+    def test_summary_matches_batch(self, streamed):
+        stream, batch = streamed
+        assert stream.traffic.summary(stream.name) == summarize(batch.dataset)
 
-    def test_session_histogram_matches_batch(self, streamed_eu1, eu1_adsl):
-        batch = flows_per_session_histogram(
-            build_sessions(eu1_adsl.dataset.records, gap_s=1.0)
+    def test_server_ips_match_batch(self, streamed):
+        stream, batch = streamed
+        assert stream.traffic.server_ips() == batch.dataset.server_ips
+
+    def test_session_histogram_matches_batch(self, streamed):
+        stream, batch = streamed
+        expected = flows_per_session_histogram(
+            build_sessions(batch.dataset.records, gap_s=1.0)
         )
-        assert streamed_eu1.session_stats.histogram() == batch
+        assert stream.session_stats.histogram() == expected
 
-    def test_memory_stays_windowed(self, streamed_eu1):
-        assert streamed_eu1.windows > 100
-        assert streamed_eu1.late_records == 0
-        assert (streamed_eu1.peak_window_records
-                < streamed_eu1.traffic.flows / 10)
+    def test_memory_stays_windowed(self, streamed):
+        stream, _ = streamed
+        assert stream.windows > 100
+        assert stream.late_records == 0
+        assert stream.peak_window_records < stream.traffic.flows / 10
 
-    def test_window_size_does_not_change_the_digest(self, streamed_eu1):
+    def test_window_size_does_not_change_the_digest(self, streamed):
         from tests.conftest import TEST_SCALE, TEST_SEED
 
-        world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=TEST_SCALE,
+        stream, _ = streamed
+        world = build_world(PAPER_SCENARIOS[stream.name], scale=TEST_SCALE,
                             seed=TEST_SEED)
         coarse = stream_dataset(world, window_s=86400.0)
-        assert coarse.digest.hexdigest() == streamed_eu1.digest.hexdigest()
-        assert coarse.windows < streamed_eu1.windows
+        assert coarse.digest.hexdigest() == stream.digest.hexdigest()
+        assert coarse.windows < stream.windows
 
 
 class TestAccumulators:

@@ -48,11 +48,19 @@ class TestFlowRecord:
             (float("-inf"), 5.0, "infinite"),
             (1.0, float("inf"), "infinite"),
             (float("inf"), float("inf"), "infinite"),
+            (1e300, 1e300, "out of range"),
+            (-(2.0**53), 5.0, "out of range"),
+            (1.0, 2.0**53, "out of range"),
         ],
     )
     def test_non_finite_timestamps_rejected(self, t0, t1, message):
         with pytest.raises(ValueError, match=message):
             record(t0=t0, t1=t1)
+
+    def test_timestamps_just_inside_the_bound_are_accepted(self):
+        bound = 2.0**53
+        r = record(t0=-(bound - 1.0), t1=bound - 1.0)
+        assert r.t_end == bound - 1.0
 
     def test_byte_count_must_fit_int64(self):
         assert record(nbytes=2**63 - 1).num_bytes == 2**63 - 1

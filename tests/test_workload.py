@@ -1,8 +1,13 @@
 """Tests for the workload package: diurnal profiles, clients, requests."""
 
+import math
+import pickle
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cdn.catalog import Resolution, VideoCatalog
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
@@ -88,6 +93,43 @@ class TestClients:
         pop = build_population(vantage, 10, seed=6)
         with pytest.raises(ValueError):
             pop.sample(1.0)
+
+
+class TestClientSamplerOracle:
+    """``sample`` bisects a list; ``np.searchsorted`` over the array is the reference."""
+
+    @pytest.fixture(scope="class")
+    def population(self, vantage):
+        return build_population(vantage, 400, seed=9)
+
+    @staticmethod
+    def reference(population, u):
+        cumulative = np.cumsum(np.array([c.activity for c in population], dtype=np.float64))
+        index = int(np.searchsorted(cumulative, u * float(cumulative[-1]), side="right"))
+        return list(population)[min(index, len(population) - 1)]
+
+    @given(u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @settings(max_examples=300)
+    def test_random_u(self, population, u):
+        assert population.sample(u) == self.reference(population, u)
+
+    def test_targets_on_cumulative_entries(self, population):
+        cumulative = np.cumsum([c.activity for c in population]).tolist()
+        total = cumulative[-1]
+        us = [c / total for c in cumulative if c / total < 1.0]
+        assert sum((u * total) in cumulative for u in us) > len(us) // 2
+        for u in us:
+            assert population.sample(u) == self.reference(population, u)
+
+    @pytest.mark.parametrize("u", [0.0, 5e-324, math.nextafter(1.0, 0.0)])
+    def test_edges(self, population, u):
+        assert population.sample(u) == self.reference(population, u)
+
+    def test_pickled_population_samples_identically(self, population):
+        rng = random.Random(4)
+        us = [rng.random() for _ in range(300)]
+        copy = pickle.loads(pickle.dumps(population))
+        assert [copy.sample(u) for u in us] == [population.sample(u) for u in us]
 
 
 class TestInteractions:
