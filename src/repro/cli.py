@@ -28,6 +28,7 @@ import sys
 from typing import Optional, Sequence, Set
 
 from repro import obs
+from repro.argtypes import finite_positive_float, landmark_count, worker_count
 from repro.active.testvideo import TestVideoExperiment
 from repro.core.asmap import render_table2
 from repro.exec.executor import BACKENDS, ParallelExecutor
@@ -51,7 +52,7 @@ from repro.whatif.variants import standard_variants, variant_by_name
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", type=float, default=0.02,
+        "--scale", type=finite_positive_float, default=0.02,
         help="traffic scale relative to the paper (default 0.02)",
     )
     parser.add_argument("--seed", type=int, default=7, help="master seed")
@@ -62,8 +63,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "results are identical on every backend)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker bound for --parallel (default: CPU count)",
+        "--workers", type=worker_count, default=None,
+        help="worker bound for --parallel (default: CPU count; "
+        "at most 4 per CPU)",
     )
     parser.add_argument(
         "--kernels", choices=("python", "numpy"), default=None,
@@ -123,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run the full five-dataset study")
     p_study.add_argument(
-        "--landmarks", type=int, default=120,
-        help="CBG landmark budget (default 120; max 215)",
+        "--landmarks", type=landmark_count, default=120,
+        help="CBG landmark budget (default 120; min 4, max 215)",
     )
     p_study.add_argument(
         "--policy", choices=registered_policy_kinds(), default="preferred",
@@ -191,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"(registered: {', '.join(registered_policy_kinds())})",
     )
     p_eval.add_argument(
-        "--landmarks", type=int, default=60,
-        help="CBG landmark budget (default 60; max 215)",
+        "--landmarks", type=landmark_count, default=60,
+        help="CBG landmark budget (default 60; min 4, max 215)",
     )
     p_eval.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="export gnuplot-ready .dat/.gp files for the CDF figures"
     )
     p_figures.add_argument("--out-dir", required=True, help="output directory")
-    p_figures.add_argument("--landmarks", type=int, default=120)
+    p_figures.add_argument("--landmarks", type=landmark_count, default=120)
     _add_common(p_figures)
 
     p_anon = sub.add_parser(
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"number of consecutive epochs (default {MONITOR_DEFAULT_EPOCHS})",
     )
     p_monitor.add_argument(
-        "--epoch-s", type=float, default=MONITOR_DEFAULT_EPOCH_S,
+        "--epoch-s", type=finite_positive_float, default=MONITOR_DEFAULT_EPOCH_S,
         help="epoch length in seconds (default 86400 = one day)",
     )
     p_monitor.add_argument(
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "alarms; overrides --plan)",
     )
     p_monitor.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
+        "--threshold", type=finite_positive_float, default=DEFAULT_THRESHOLD,
         help=f"alarm threshold on the pattern dissimilarity "
         f"(default {DEFAULT_THRESHOLD})",
     )

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.net.asn import AsRegistry, GOOGLE_ASN, YOUTUBE_EU_ASN
 from repro.reporting.tables import TextTable, format_fraction
+from repro.trace.columnar import group_sum_int64, use_numpy
 from repro.trace.records import Dataset
 
 #: Table II column groups, in the paper's order.
@@ -75,8 +76,22 @@ def breakdown_by_as(dataset: Dataset, registry: AsRegistry) -> AsBreakdown:
     for group in server_groups.values():
         server_counts[group] += 1
     byte_counts = {g: 0 for g in AS_GROUPS}
-    for record in dataset:
-        byte_counts[server_groups[record.dst_ip]] += record.num_bytes
+    if use_numpy():
+        import numpy as np
+
+        # server_ips is the table's sorted unique dst array, so the dict's
+        # order is the dst-code order.
+        _, dst_code = dataset.records.dst_codes()
+        group_code = np.asarray(
+            [AS_GROUPS.index(g) for g in server_groups.values()], dtype=np.int64
+        )
+        sums = group_sum_int64(
+            group_code[dst_code], dataset.records.columns().num_bytes, len(AS_GROUPS)
+        )
+        byte_counts = dict(zip(AS_GROUPS, sums.tolist()))
+    else:
+        for record in dataset:
+            byte_counts[server_groups[record.dst_ip]] += record.num_bytes
 
     num_servers = len(server_groups)
     total_bytes = max(1, sum(byte_counts.values()))

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.net.asn import AsRegistry
 from repro.reporting.series import Series
 from repro.reporting.tables import TextTable
+from repro.trace.columnar import group_sum_int64, use_numpy
 from repro.trace.records import Dataset
 
 
@@ -145,16 +146,19 @@ def analyze_peering(dataset: Dataset, registry: AsRegistry) -> PeeringReport:
         The :class:`PeeringReport`, ASes byte-descending.
     """
     num_hours = max(1, dataset.num_hours)
-    buckets: Dict[int, List[int]] = {}
-    names: Dict[int, str] = {}
-    for record in dataset:
-        system = registry.whois(record.dst_ip)
-        asn = system.asn if system is not None else 0
-        if asn not in buckets:
-            buckets[asn] = [0] * num_hours
-            names[asn] = system.name if system is not None else "unattributed"
-        hour = min(record.hour, num_hours - 1)
-        buckets[asn][hour] += record.num_bytes
+    if use_numpy():
+        buckets, names = _hourly_bytes_by_as(dataset, registry, num_hours)
+    else:
+        buckets = {}
+        names = {}
+        for record in dataset:
+            system = registry.whois(record.dst_ip)
+            asn = system.asn if system is not None else 0
+            if asn not in buckets:
+                buckets[asn] = [0] * num_hours
+                names[asn] = system.name if system is not None else "unattributed"
+            hour = min(record.hour, num_hours - 1)
+            buckets[asn][hour] += record.num_bytes
 
     rows = [
         AsTraffic(asn=asn, name=names[asn], hourly_bytes=hours)
@@ -172,3 +176,37 @@ def analyze_peering(dataset: Dataset, registry: AsRegistry) -> PeeringReport:
         num_hours=num_hours,
         on_net_bytes=on_net,
     )
+
+
+def _hourly_bytes_by_as(
+    dataset: Dataset, registry: AsRegistry, num_hours: int
+) -> Tuple[Dict[int, List[int]], Dict[int, str]]:
+    """The record loop's ``(buckets, names)``, from the columns.
+
+    whois runs once per distinct server; the per-(AS, hour) byte sums are
+    exact grouped sums.  ASes come out in order of first appearance in the
+    trace, like the loop's dict insertion order.
+    """
+    import numpy as np
+
+    cols = dataset.records.columns()
+    uniq, first_idx, inverse = np.unique(cols.dst_ip, return_index=True, return_inverse=True)
+    as_index: Dict[int, int] = {}
+    names: Dict[int, str] = {}
+    as_of_ip = np.empty(len(uniq), dtype=np.int64)
+    for j in np.argsort(first_idx, kind="stable").tolist():
+        system = registry.whois(int(uniq[j]))
+        asn = system.asn if system is not None else 0
+        if asn not in as_index:
+            as_index[asn] = len(as_index)
+            names[asn] = system.name if system is not None else "unattributed"
+        as_of_ip[j] = as_index[asn]
+    # min(hour, num_hours - 1), then the list's own negative indexing.
+    hour = np.minimum(cols.hour, num_hours - 1)
+    if len(hour) and int(hour.min()) < -num_hours:
+        raise IndexError("list index out of range")
+    hour = hour % num_hours
+    sums = group_sum_int64(
+        as_of_ip[inverse] * num_hours + hour, cols.num_bytes, len(as_index) * num_hours
+    ).reshape(len(as_index), num_hours)
+    return dict(zip(as_index, sums.tolist())), names

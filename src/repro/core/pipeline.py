@@ -46,7 +46,7 @@ from repro.reporting.timing import phase_timer
 from repro.sim.engine import SimulationResult
 from repro.sim.seeding import derive_seed
 from repro.trace.columnar import FlowTable
-from repro.trace.records import Dataset, FlowRecord
+from repro.trace.records import Dataset
 
 
 @dataclass
@@ -162,26 +162,25 @@ class StudyPipeline:
         }
 
     @cached_property
-    def focus_records(self) -> Dict[str, List[FlowRecord]]:
-        """Per-dataset flow records restricted to the focus servers."""
-        out: Dict[str, List[FlowRecord]] = {}
-        for name, result in self._results.items():
-            keep = set(self.focus_ips[name])
-            out[name] = [r for r in result.dataset.records if r.dst_ip in keep]
-        return out
+    def focus_tables(self) -> Dict[str, FlowTable]:
+        """Per-dataset flows restricted to the focus servers (one table each).
+
+        Under the numpy kernels each table is a boolean mask over its
+        dataset's columns, so no record is built to filter; the records
+        exist only once something iterates a table (session building).
+        Every kernel-backed analysis method below hands these tables to
+        the core modules, so the columnar work is done once per dataset,
+        not once per figure.
+        """
+        return {
+            name: result.dataset.records.where_dst(self.focus_ips[name])
+            for name, result in self._results.items()
+        }
 
     @cached_property
-    def focus_tables(self) -> Dict[str, FlowTable]:
-        """Columnar views over :attr:`focus_records` (one per dataset).
-
-        The tables wrap the same record lists — they iterate identically
-        under the pure-Python kernels — and materialise their numpy
-        columns lazily, the first time a ``REPRO_KERNELS=numpy`` analysis
-        touches them.  Every kernel-backed analysis method below hands
-        these (not the raw lists) to the core modules, so the columnar
-        work is done once per dataset, not once per figure.
-        """
-        return {name: FlowTable(records) for name, records in self.focus_records.items()}
+    def focus_records(self) -> Dict[str, FlowTable]:
+        """:attr:`focus_tables` under its record-sequence name."""
+        return self.focus_tables
 
     # ------------------------------------------------------------------- F2
 

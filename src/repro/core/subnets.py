@@ -11,11 +11,12 @@ non-preferred data centers."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.nonpreferred import video_flow_preference
+from repro.core.nonpreferred import preference_masks, video_flow_preference
 from repro.core.preferred import PreferredDcReport
 from repro.geoloc.clustering import ServerMap
+from repro.trace.columnar import FlowTable, active_table
 from repro.trace.records import Dataset, FlowRecord
 
 
@@ -64,23 +65,15 @@ def subnet_shares(
     """
     if records is None:
         records = dataset.records
-    split = video_flow_preference(records, report, server_map)
-    all_flows = split[True] + split[False]
-    if not all_flows:
-        raise ValueError("no classifiable video flows")
-    nonpref_flows = split[False]
-
-    def count_by_subnet(flows: Sequence[FlowRecord]) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for flow in flows:
-            subnet = dataset.vantage.subnet_of(flow.src_ip)
-            if subnet is None:
-                continue
-            counts[subnet.name] = counts.get(subnet.name, 0) + 1
-        return counts
-
-    all_counts = count_by_subnet(all_flows)
-    nonpref_counts = count_by_subnet(nonpref_flows)
+    table = active_table(records)
+    if table is not None:
+        all_counts, nonpref_counts = _subnet_counts_numpy(dataset, table, report, server_map)
+    else:
+        split = video_flow_preference(records, report, server_map)
+        if not split[True] and not split[False]:
+            raise ValueError("no classifiable video flows")
+        all_counts = _count_by_subnet(dataset, split[True] + split[False])
+        nonpref_counts = _count_by_subnet(dataset, split[False])
     total_all = max(1, sum(all_counts.values()))
     total_nonpref = max(1, sum(nonpref_counts.values()))
 
@@ -94,6 +87,56 @@ def subnet_shares(
             )
         )
     return shares
+
+
+def _count_by_subnet(dataset: Dataset, flows: Sequence[FlowRecord]) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for flow in flows:
+        subnet = dataset.vantage.subnet_of(flow.src_ip)
+        if subnet is None:
+            continue
+        counts[subnet.name] = counts.get(subnet.name, 0) + 1
+    return counts
+
+
+def _subnet_counts_numpy(
+    dataset: Dataset, table: FlowTable, report: PreferredDcReport, server_map: ServerMap
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Per-subnet video-flow counts (all, non-preferred) from the columns.
+
+    The subnets' address ranges cut the address line into elementary
+    intervals; each interval belongs to the first declared subnet that
+    covers it (``subnet_of``'s rule, nested prefixes included), and one
+    ``searchsorted`` over the sorted bounds places every client.
+    """
+    import numpy as np
+
+    is_video, verdict = preference_masks(table, report, server_map)
+    classified = is_video & (verdict != -1)
+    if not classified.any():
+        raise ValueError("no classifiable video flows")
+    subnets = dataset.vantage.subnets
+    bounds = sorted({b for s in subnets for b in (s.network.first, s.network.last + 1)})
+    owner = []
+    for lo in bounds:
+        hit = next((k for k, s in enumerate(subnets) if s.contains_ip(lo)), -1)
+        owner.append(hit)
+    # Addresses below every bound land in slot -1: the appended "no subnet".
+    owner = np.asarray(owner + [-1], dtype=np.int64)
+    # Membership tests only the low 32 bits (``ip & mask == network``).
+    src = table.columns().src_ip & 0xFFFFFFFF
+    slot = np.searchsorted(np.asarray(bounds, dtype=np.int64), src, side="right") - 1
+    subnet_code = owner[slot]
+
+    def count(mask) -> Dict[str, int]:
+        codes = subnet_code[mask]
+        counts: Dict[str, int] = {}
+        per = np.bincount(codes[codes >= 0], minlength=len(subnets)).tolist()
+        for subnet, n in zip(subnets, per):
+            counts[subnet.name] = counts.get(subnet.name, 0) + n
+        return counts
+
+    return count(classified), count(is_video & (verdict == 0))
 
 
 def most_biased_subnet(shares: Sequence[SubnetShare]) -> SubnetShare:

@@ -39,9 +39,9 @@ from repro.shard.shm import (
     attach_table,
     live_segments,
     publish_table,
-    records_from_columns,
     shm_mode,
 )
+from repro.trace.columnar import records_from_columns
 
 __all__ = [
     "ENV_SHM",

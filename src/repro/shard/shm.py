@@ -70,7 +70,7 @@ ENV_SHM = "REPRO_SHM"
 SHM_MODES = ("auto", "shm", "file", "off")
 
 #: Column arrays that travel through a segment, in layout order.  ``hour``
-#: is derived from ``t_start`` on attach, exactly as ``_Columns`` builds it.
+#: is derived from ``t_start`` on attach, as an unpickled ``_Columns`` does.
 _FIELDS = (
     "src_ip",
     "dst_ip",
@@ -408,81 +408,13 @@ def publish_table(table: FlowTable, name: Optional[str] = None) -> object:
 
 
 def _columns_from_buffer(handle: TableHandle, buf: memoryview) -> _Columns:
-    cols = _Columns.__new__(_Columns)
+    arrays = {}
     for field_name, dtype, length, offset in handle.toc:
         itemsize = np.dtype(dtype).itemsize
         arr = np.frombuffer(buf, dtype=dtype, count=length, offset=offset)
         assert arr.nbytes == itemsize * length
-        setattr(cols, field_name, arr)
-    cols.hour = (cols.t_start // 3600.0).astype(np.int64)
-    return cols
-
-
-def records_from_columns(cols: _Columns, lo: int = 0, hi: Optional[int] = None) -> List[FlowRecord]:
-    """Rebuild exact :class:`FlowRecord` objects from column arrays.
-
-    Every column round-trips exactly — int64/float64 preserve the
-    original Python values bit for bit and the unique string arrays
-    return built-in ``str`` — so the rebuilt records compare equal to
-    (and digest identically to) the originals.
-    """
-    video_ids = cols.video_ids.tolist()
-    resolutions = cols.resolutions.tolist()
-    return [
-        FlowRecord(
-            src_ip=src, dst_ip=dst, num_bytes=size, t_start=ts, t_end=te,
-            video_id=video_ids[vc], resolution=resolutions[rc],
-        )
-        for src, dst, size, ts, te, vc, rc in zip(
-            cols.src_ip[lo:hi].tolist(),
-            cols.dst_ip[lo:hi].tolist(),
-            cols.num_bytes[lo:hi].tolist(),
-            cols.t_start[lo:hi].tolist(),
-            cols.t_end[lo:hi].tolist(),
-            cols.video_code[lo:hi].tolist(),
-            cols.resolution_code[lo:hi].tolist(),
-        )
-    ]
-
-
-#: Captured before :class:`ColumnTable` shadows it with a property.
-_RECORDS_SLOT = FlowTable.records
-
-
-class ColumnTable(FlowTable):
-    """A :class:`FlowTable` backed by column arrays, records on demand.
-
-    Kernels that consume columns (the accumulators, grouped sums, the
-    session index) run zero-copy over the attached arrays; only paths
-    that genuinely need record objects (session flow lists, the python
-    kernels) pay to materialise them, once, from the columns.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, cols: _Columns):
-        self._cols = cols
-        self._session_index = None
-        self._dst_unique = None
-        self._dst_code = None
-        from repro.trace.columnar import _register_table
-
-        _register_table(self)
-
-    @property
-    def records(self) -> List[FlowRecord]:
-        try:
-            return _RECORDS_SLOT.__get__(self)
-        except AttributeError:
-            materialised = records_from_columns(self._cols)
-            _RECORDS_SLOT.__set__(self, materialised)
-            return materialised
-
-    def __len__(self) -> int:
-        return len(self._cols.t_start)
-
-    def columns(self) -> _Columns:
-        return self._cols
+        arrays[field_name] = arr
+    return _Columns.from_arrays(*(arrays[name] for name in _Columns._STORED))
 
 
 def attach_table(handle) -> FlowTable:
@@ -492,7 +424,7 @@ def attach_table(handle) -> FlowTable:
       worker that inherited the registry): returns the **original** table
       object — a no-op view.
     * Another process: maps the segment read-only and wraps the column
-      views in a :class:`ColumnTable`; repeated attaches of one segment
+      views in a columns-first :class:`FlowTable`; repeated attaches of one segment
       share a single mapping via the live registry's refcount.
     * :class:`InlineHandle`: rebuilds a plain table from the records.
     """
@@ -505,7 +437,7 @@ def attach_table(handle) -> FlowTable:
         segment = _map_segment(handle)
         _LIVE[handle.name] = segment
     segment.refs += 1
-    table = ColumnTable(_columns_from_buffer(handle, segment.buf))
+    table = FlowTable(columns=_columns_from_buffer(handle, segment.buf))
     weakref.finalize(table, _release, handle.name)
     return table
 
@@ -524,7 +456,7 @@ def view_table(table: FlowTable, lo: int, hi: int) -> FlowTable:
         setattr(sliced, name, getattr(cols, name)[lo:hi])
     sliced.video_ids = cols.video_ids
     sliced.resolutions = cols.resolutions
-    return ColumnTable(sliced)
+    return FlowTable(columns=sliced)
 
 
 # ------------------------------------------------------------------- scopes

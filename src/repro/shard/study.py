@@ -81,12 +81,12 @@ def _sim_shard_task(arg: Tuple) -> Dict[str, object]:
     spec, scale, seed, duration_s, policy_kind = key
     result = simulate_week(spec, scale, seed, duration_s, policy_kind)
     dataset = result.dataset
-    handle = publish_table(dataset.columnar(), name=segment_name)
+    handle = publish_table(dataset.records, name=segment_name)
     return {
         "name": dataset.name,
         "world": result.world,
         "digest": dataset.content_digest(),
-        "flows": len(dataset.records),
+        "flows": len(dataset),
         "handle": handle,
     }
 

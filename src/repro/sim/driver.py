@@ -128,10 +128,15 @@ def simulate_week(
     :func:`repro.sim.engine.run_many`, what-if variants and sweep grid
     points — keys the same ``"sim/run_week"`` artifacts, so a week
     simulated by any of them is a warm hit for all of them.
+
+    The week's content digest is computed here, once, so the stored
+    artifact carries it next to the flow columns.
     """
     world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
                         policy_kind=policy_kind)
-    return run_requests(world, miss_probability=miss_probability)
+    result = run_requests(world, miss_probability=miss_probability)
+    result.dataset.content_digest()
+    return result
 
 
 def _scenario_task(key: Tuple) -> SimulationResult:
@@ -157,9 +162,9 @@ def _scenario_task_shm(arg: Tuple) -> Tuple:
 
     key, segment_name = arg
     result = _scenario_task(key)
-    handle = publish_table(result.dataset.columnar(), name=segment_name)
+    handle = publish_table(result.dataset.records, name=segment_name)
     slim = replace(result, dataset=replace(result.dataset, records=[]))
-    return (slim, handle)
+    return (slim, handle, result.dataset.content_digest())
 
 
 def _rehydrate_shm(slim_and_handle: Tuple) -> SimulationResult:
@@ -167,18 +172,17 @@ def _rehydrate_shm(slim_and_handle: Tuple) -> SimulationResult:
 
     The rehydrated dataset's ``records`` is the attached
     :class:`~repro.trace.columnar.FlowTable` — a ``Sequence[FlowRecord]``
-    that materialises record objects only if something iterates it — and
-    its columnar cache is primed with the same table, so numpy kernels
-    run zero-copy over the shared columns.
+    that materialises record objects only if something iterates it — so
+    numpy kernels run zero-copy over the shared columns.  The worker's
+    content digest travels with the handle and is adopted unchanged.
     """
     from dataclasses import replace
 
     from repro.shard.shm import attach_table
 
-    slim, handle = slim_and_handle
-    table = attach_table(handle)
-    dataset = replace(slim.dataset, records=table)
-    dataset.__dict__["_columnar"] = (table, table)
+    slim, handle, digest = slim_and_handle
+    dataset = replace(slim.dataset, records=attach_table(handle))
+    dataset.adopt_digest(digest)
     return replace(slim, dataset=dataset)
 
 

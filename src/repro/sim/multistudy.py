@@ -427,9 +427,9 @@ def _shared_study_task_shm(arg: Tuple) -> Dict[str, Tuple]:
     results = _shared_study_task(config)
     packed: Dict[str, Tuple] = {}
     for name, result in results.items():
-        handle = publish_table(result.dataset.columnar(), name=segment_names[name])
+        handle = publish_table(result.dataset.records, name=segment_names[name])
         slim = replace(result, dataset=replace(result.dataset, records=[]))
-        packed[name] = (slim, handle)
+        packed[name] = (slim, handle, result.dataset.content_digest())
     return packed
 
 

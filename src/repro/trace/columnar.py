@@ -10,10 +10,11 @@ spends most of its time iterating flows in the interpreter.
 
 This module adds the columnar alternative those modules switch to:
 
-* :class:`FlowTable` — a lazy, cached materialization of a record sequence
-  into numpy column arrays (``src_ip``, ``dst_ip``, ``num_bytes``,
-  ``t_start``, ``t_end``, integer-coded ``video_id`` / ``resolution``, and
-  the derived ``hour``);
+* :class:`FlowTable` — a flow sequence held as records, as numpy column
+  arrays (``src_ip``, ``dst_ip``, ``num_bytes``, ``t_start``, ``t_end``,
+  integer-coded ``video_id`` / ``resolution``, and the derived ``hour``),
+  or both, each side built lazily from the other; it pickles as columns,
+  which makes it the stored and shipped form of a simulated week;
 * :class:`SessionIndex` — the gap-*independent* part of session building
   (one lexsort over (client, video, start, end) plus the group-wise
   running-max horizon), shared by every gap value of the Figure 5 sweep;
@@ -42,6 +43,7 @@ Exactness notes, because parity is a hard requirement:
 
 from __future__ import annotations
 
+import itertools
 import os
 import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
@@ -89,7 +91,12 @@ def use_numpy() -> bool:
 
 
 class _Columns:
-    """The materialised column arrays of a :class:`FlowTable`."""
+    """The materialised column arrays of a :class:`FlowTable`.
+
+    Pickles as its stored arrays only (``hour`` is re-derived on load), so
+    a shipped or cached table costs a few buffer copies, not one object
+    graph per flow.
+    """
 
     __slots__ = (
         "src_ip",
@@ -98,6 +105,19 @@ class _Columns:
         "t_start",
         "t_end",
         "hour",
+        "video_ids",
+        "video_code",
+        "resolutions",
+        "resolution_code",
+    )
+
+    #: The arrays a pickle carries, in constructor order.
+    _STORED = (
+        "src_ip",
+        "dst_ip",
+        "num_bytes",
+        "t_start",
+        "t_end",
         "video_ids",
         "video_code",
         "resolutions",
@@ -130,6 +150,60 @@ class _Columns:
             self.resolution_code = np.empty(0, dtype=np.int64)
         self.video_code = self.video_code.astype(np.int64, copy=False)
         self.resolution_code = self.resolution_code.astype(np.int64, copy=False)
+
+    @classmethod
+    def from_arrays(cls, *arrays) -> "_Columns":
+        """Columns from the :attr:`_STORED` arrays, in that order."""
+        cols = cls.__new__(cls)
+        for name, arr in zip(cls._STORED, arrays):
+            setattr(cols, name, arr)
+        cols.hour = (cols.t_start // 3600.0).astype(np.int64)
+        return cols
+
+    def __reduce__(self):
+        return (_Columns.from_arrays, tuple(getattr(self, name) for name in self._STORED))
+
+    def take(self, mask) -> "_Columns":
+        """The rows where ``mask`` is true, as columns of their own.
+
+        The string tables are compacted to the values the kept rows use,
+        so the result equals a fresh build over the kept records.
+        """
+        cols = _Columns.__new__(_Columns)
+        for name in ("src_ip", "dst_ip", "num_bytes", "t_start", "t_end", "hour"):
+            setattr(cols, name, getattr(self, name)[mask])
+        for table, code in (("video_ids", "video_code"), ("resolutions", "resolution_code")):
+            used, kept = np.unique(getattr(self, code)[mask], return_inverse=True)
+            setattr(cols, table, getattr(self, table)[used])
+            setattr(cols, code, kept.astype(np.int64, copy=False))
+        return cols
+
+
+def records_from_columns(cols: _Columns, lo: int = 0, hi: Optional[int] = None) -> List[FlowRecord]:
+    """Build :class:`FlowRecord` objects from column arrays.
+
+    Every record goes through the validating constructor.  Every column
+    round-trips exactly -- int64/float64 preserve the original Python
+    values bit for bit and the unique string arrays return built-in
+    ``str`` -- so the rebuilt records compare equal to (and digest
+    identically to) the originals.
+    """
+    video_ids = cols.video_ids.tolist()
+    resolutions = cols.resolutions.tolist()
+    return list(
+        itertools.starmap(
+            FlowRecord,
+            zip(
+                cols.src_ip[lo:hi].tolist(),
+                cols.dst_ip[lo:hi].tolist(),
+                cols.num_bytes[lo:hi].tolist(),
+                cols.t_start[lo:hi].tolist(),
+                cols.t_end[lo:hi].tolist(),
+                [video_ids[c] for c in cols.video_code[lo:hi].tolist()],
+                [resolutions[c] for c in cols.resolution_code[lo:hi].tolist()],
+            ),
+        )
+    )
 
 
 class SessionIndex:
@@ -205,18 +279,20 @@ class SessionIndex:
 
 
 class FlowTable:
-    """A columnar view over a flow-record sequence.
+    """A flow-record sequence with a columnar form.
 
-    The table keeps the original record list (so the pure-Python spec can
-    iterate it unchanged — a ``FlowTable`` is a ``Sequence[FlowRecord]``)
-    and materialises the numpy columns lazily, the first time a kernel
-    asks.  Build one per dataset / filtered record list and pass it to the
-    analysis functions; they use the arrays when ``REPRO_KERNELS=numpy``
-    and fall back to iterating the records otherwise.
+    A table starts from records (a flow log, a live simulation) or from
+    columns (an unpickled artifact, a filtered parent, a shared-memory
+    segment) and derives the other side lazily, the first time something
+    asks: the numpy columns when a kernel reads them, the
+    :class:`FlowRecord` objects -- through the validating constructor --
+    when something iterates the table.  Either way a ``FlowTable`` is a
+    ``Sequence[FlowRecord]``, so the pure-Python spec runs over it
+    unchanged.  Pickling ships the columns only.
     """
 
     __slots__ = (
-        "records",
+        "_records",
         "_cols",
         "_session_index",
         "_dst_unique",
@@ -224,20 +300,43 @@ class FlowTable:
         "__weakref__",
     )
 
-    def __init__(self, records: Union[Sequence[FlowRecord], Iterable[FlowRecord]]):
-        self.records: List[FlowRecord] = (
-            records if isinstance(records, list) else list(records)
-        )
-        self._cols: Optional[_Columns] = None
+    def __init__(
+        self,
+        records: Union[Sequence[FlowRecord], Iterable[FlowRecord], None] = None,
+        columns: Optional[_Columns] = None,
+    ):
+        if records is None and columns is None:
+            raise TypeError("a FlowTable needs records or columns")
+        if records is not None and not isinstance(records, list):
+            records = list(records)
+        self._records: Optional[List[FlowRecord]] = records
+        self._cols: Optional[_Columns] = columns
         self._session_index: Optional[SessionIndex] = None
         self._dst_unique = None
         self._dst_code = None
         _register_table(self)
 
+    def __reduce__(self):
+        if not HAVE_NUMPY:  # pragma: no cover - CI image always has numpy
+            return (FlowTable, (self._records,))
+        return (_table_from_columns, (self.columns(),))
+
     # ------------------------------------------------ sequence protocol
 
+    @property
+    def records(self) -> List[FlowRecord]:
+        """The flow records, built from the columns on first use."""
+        if self._records is None:
+            self._records = self._materialise()
+        return self._records
+
+    def _materialise(self) -> List[FlowRecord]:
+        return records_from_columns(self._cols)
+
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is not None:
+            return len(self._records)
+        return len(self._cols.t_start)
 
     def __iter__(self) -> Iterator[FlowRecord]:
         return iter(self.records)
@@ -245,10 +344,19 @@ class FlowTable:
     def __getitem__(self, index):
         return self.records[index]
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FlowTable):
+            return self is other or self.records == other.records
+        if isinstance(other, (list, tuple)):
+            return self.records == list(other)
+        return NotImplemented
+
+    __hash__ = object.__hash__
+
     # ------------------------------------------------------- columns
 
     def columns(self) -> _Columns:
-        """The materialised column arrays (built on first use).
+        """The column arrays (built from the records on first use).
 
         Raises:
             RuntimeError: If numpy is unavailable.
@@ -256,7 +364,7 @@ class FlowTable:
         if not HAVE_NUMPY:  # pragma: no cover - CI image always has numpy
             raise RuntimeError("numpy is not available; use the python kernels")
         if self._cols is None:
-            self._cols = _Columns(self.records)
+            self._cols = _Columns(self._records)
         return self._cols
 
     def session_index(self) -> SessionIndex:
@@ -273,6 +381,22 @@ class FlowTable:
             )
             self._dst_code = code.astype(np.int64, copy=False)
         return self._dst_unique, self._dst_code
+
+    def where_dst(self, keep_dst: Iterable[int]) -> "FlowTable":
+        """A new table of the flows whose server address is in ``keep_dst``.
+
+        Under the numpy kernels this is a boolean mask over this table's
+        columns; kept records that already exist are shared, not rebuilt.
+        """
+        keep = set(keep_dst)
+        if not use_numpy():
+            return FlowTable([r for r in self.records if r.dst_ip in keep])
+        cols = self.columns()
+        mask = np.isin(cols.dst_ip, np.fromiter(keep, np.int64, count=len(keep)))
+        records = None
+        if self._records is not None:
+            records = [self._records[i] for i in np.flatnonzero(mask).tolist()]
+        return FlowTable(records, columns=cols.take(mask))
 
     # ---------------------------------------------------- memory accounting
 
@@ -309,6 +433,10 @@ _TABLES: "weakref.WeakSet[FlowTable]" = weakref.WeakSet()
 
 def _register_table(table: FlowTable) -> None:
     _TABLES.add(table)
+
+
+def _table_from_columns(cols: _Columns) -> FlowTable:
+    return FlowTable(columns=cols)
 
 
 def resident_columnar() -> Dict[str, int]:
@@ -356,6 +484,8 @@ def group_sum_int64(codes, values, num_groups: int):
     ``np.bincount(..., weights=...)`` accumulates in float64 and loses
     exactness past 2**53; this helper sorts by group and uses
     ``np.add.reduceat`` on int64 so byte totals stay exact at any scale.
+    When a sum could pass the int64 range it adds Python ints instead
+    (an object array), so it never wraps where the record loop would not.
     """
     out = np.zeros(num_groups, dtype=np.int64)
     if len(values) == 0:
@@ -363,6 +493,10 @@ def group_sum_int64(codes, values, num_groups: int):
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     sorted_values = values[order].astype(np.int64, copy=False)
+    largest = max(int(sorted_values.max()), -int(sorted_values.min()))
+    if largest * len(sorted_values) > np.iinfo(np.int64).max:
+        sorted_values = sorted_values.astype(object)
+        out = out.astype(object)
     boundaries = np.flatnonzero(
         np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
     )

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from repro.net.ip import IPv4Network, format_ip
 from repro.net.topology import VantagePoint
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import FlowTable
 
 #: One simulated trace week, in seconds.
 WEEK_S = 7 * 86400.0
@@ -94,17 +97,31 @@ class Dataset:
     the access technology, and the internal subnet plan (Figure 12 needs
     it).  It does *not* include anything about the CDN side.
 
+    A dataset pickles as its flows' column arrays plus its
+    :meth:`content_digest` once that has been computed, so a cached or
+    shipped week costs a few buffer copies and never re-hashes its log.
+
     Attributes:
         name: Dataset name (``"US-Campus"``...).
         vantage: The monitored vantage point.
-        records: Flow records sorted by start time.
+        records: Flow records sorted by start time, as a
+            :class:`~repro.trace.columnar.FlowTable` (any record sequence
+            assigned here is wrapped in one).
         duration_s: Collection window length.
     """
 
     name: str
     vantage: VantagePoint
-    records: List[FlowRecord]
+    records: "FlowTable"
     duration_s: float = WEEK_S
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "records":
+            from repro.trace.columnar import FlowTable
+
+            if not isinstance(value, FlowTable):
+                value = FlowTable(value)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -124,45 +141,43 @@ class Dataset:
     @property
     def total_bytes(self) -> int:
         """Total downloaded volume (Table I's ``Volume`` column)."""
+        from repro.trace.columnar import use_numpy
+
+        if use_numpy():
+            return sum(self.records.columns().num_bytes.tolist())
         return sum(r.num_bytes for r in self.records)
 
     @property
     def server_ips(self) -> List[int]:
         """Distinct server addresses, sorted (Table I's ``#Servers``)."""
+        from repro.trace.columnar import use_numpy
+
+        if use_numpy():
+            return self.records.dst_codes()[0].tolist()
         return sorted({r.dst_ip for r in self.records})
 
     @property
     def client_ips(self) -> List[int]:
         """Distinct client addresses, sorted (Table I's ``#Clients``)."""
+        from repro.trace.columnar import use_numpy
+
+        if use_numpy():
+            import numpy as np
+
+            return np.unique(self.records.columns().src_ip).tolist()
         return sorted({r.src_ip for r in self.records})
 
     def subnet_plan(self) -> Sequence[Tuple[str, IPv4Network]]:
         """The vantage point's internal subnets (name, network)."""
         return [(s.name, s.network) for s in self.vantage.subnets]
 
-    def columnar(self):
-        """The dataset's cached columnar view (``repro.trace.columnar``).
+    def columnar(self) -> "FlowTable":
+        """The dataset's flows as a :class:`~repro.trace.columnar.FlowTable`.
 
-        Materialised lazily and cached on the instance; the cache is
-        invalidated when ``records`` is rebound or its length changes.
-        (In-place element mutation is not tracked — the records are frozen
-        dataclasses, so only wholesale list surgery could go stale, and
-        the analysis layer never does that.)
-
-        Returns:
-            The :class:`~repro.trace.columnar.FlowTable` over ``records``.
+        The same object as :attr:`records`; kept as the kernels' entry
+        point.
         """
-        from repro.trace.columnar import FlowTable
-
-        source, cached = self.__dict__.get("_columnar", (None, None))
-        if (
-            cached is None
-            or source is not self.records
-            or len(cached) != len(self.records)
-        ):
-            cached = FlowTable(self.records)
-            self.__dict__["_columnar"] = (self.records, cached)
-        return cached
+        return self.records
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical flow-log serialisation of the records.
@@ -170,7 +185,27 @@ class Dataset:
         Two datasets digest equal iff their flow logs are byte-identical
         (the serialisation round-trips floats exactly); the cross-backend
         determinism tests compare parallel and serial runs with this.
+
+        The digest is computed once per flow table and carried with it
+        (pickles included); rebinding :attr:`records`, :meth:`filtered` and
+        ``dataclasses.replace`` all start without one.
         """
+        table, digest = self.__dict__.get("_digest", (None, None))
+        if table is not self.records:
+            digest = self._hash_records()
+            self.__dict__["_digest"] = (self.records, digest)
+        return digest
+
+    def adopt_digest(self, digest: str) -> None:
+        """Carry a digest computed elsewhere for these very records.
+
+        For a table rebuilt from columns that were digested before they
+        were shipped (the shared-memory transport); the caller vouches
+        that the flows are unchanged.
+        """
+        self.__dict__["_digest"] = (self.records, digest)
+
+    def _hash_records(self) -> str:
         from repro.trace.logio import format_record
 
         digest = hashlib.sha256()
@@ -204,10 +239,9 @@ class Dataset:
         )
         digest.update(header.encode("ascii"))
         digest.update(b"\n")
-        # The columnar view is passed (not the raw list) so the numpy
-        # kernels reuse the dataset's cached session index; the python
-        # backend iterates the same records through it unchanged.
-        for session in build_sessions(self.columnar(), gap_s=gap_s):
+        # The table is passed so the numpy kernels reuse its cached
+        # session index; the python backend iterates the same records.
+        for session in build_sessions(self.records, gap_s=gap_s):
             flows = session.flows
             line = (
                 f"{session.client_ip}|{session.video_id}|{len(flows)}"
@@ -225,10 +259,9 @@ class Dataset:
         video servers located in the Google AS" (plus the in-ISP data center
         for EU2).  The analysis applies that focus with this method.
         """
-        keep = set(keep_dst)
         return Dataset(
             name=self.name,
             vantage=self.vantage,
-            records=[r for r in self.records if r.dst_ip in keep],
+            records=self.records.where_dst(keep_dst),
             duration_s=self.duration_s,
         )
