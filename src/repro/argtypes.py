@@ -1,9 +1,10 @@
 """Typed ``argparse`` converters for the command line's numeric flags.
 
-Each converter parses one flag value and raises
-:class:`argparse.ArgumentTypeError` for anything outside the flag's domain,
-so argparse rejects the value at parse time with exit status 2 and a
-message naming the flag -- before any world is built or any pool started.
+Each converter parses one flag value and raises :class:`ValueError` or
+:class:`argparse.ArgumentTypeError` for anything outside the flag's
+domain, so argparse rejects the value at parse time with exit status 2
+and a message naming the flag -- before any world is built or any pool
+started.
 """
 
 from __future__ import annotations
@@ -13,53 +14,20 @@ import math
 import os
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-
-
-def finite_float(text: str) -> float:
-    """A finite float (rejects ``nan`` and ``±inf``)."""
-    value = _float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 def finite_positive_float(text: str) -> float:
-    """A finite float greater than zero."""
-    value = finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    """A finite float greater than zero (rejects ``nan`` and ``±inf``)."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
 
 
-def int_at_least(minimum: int):
-    """A converter for integers no smaller than ``minimum``."""
-
-    def convert(text: str) -> int:
-        value = _int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    convert.__name__ = f"int_at_least_{minimum}"
-    return convert
-
-
-#: CBG needs at least four landmarks to intersect constraint disks.
-landmark_count = int_at_least(4)
-
-_positive_int = int_at_least(1)
+def landmark_count(text: str) -> int:
+    """At least four landmarks: CBG intersects constraint disks."""
+    value = int(text)
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"must be at least 4, got {value}")
+    return value
 
 
 def max_workers() -> int:
@@ -69,10 +37,10 @@ def max_workers() -> int:
 
 def worker_count(text: str) -> int:
     """A worker bound in ``[1, max_workers()]``."""
-    value = _positive_int(text)
+    value = int(text)
     limit = max_workers()
-    if value > limit:
+    if not 1 <= value <= limit:
         raise argparse.ArgumentTypeError(
-            f"must be at most {limit} (4 per CPU), got {value}"
+            f"must be between 1 and {limit} (4 per CPU), got {value}"
         )
     return value

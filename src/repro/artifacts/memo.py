@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro import obs
 from repro.artifacts.keys import stage_key
@@ -37,6 +37,7 @@ _MISS = object()
 def memoized_stage(
     stage: str,
     ignore: Sequence[str] = (),
+    attach: Optional[Callable[[Any, str, Any], None]] = None,
 ) -> Callable[[Callable], Callable]:
     """Decorator: disk-memoize a deterministic stage function.
 
@@ -45,6 +46,9 @@ def memoized_stage(
             the cache key, so renaming it invalidates existing artifacts.
         ignore: Parameter names excluded from the key (mechanical knobs
             that cannot change the output).
+        attach: Called as ``attach(store, key, value)`` with every value
+            the wrapper returns through the store, loaded or computed, to
+            keep side data next to the artifact.
 
     Returns:
         The decorating function.  The wrapper bypasses the cache entirely
@@ -86,10 +90,11 @@ def memoized_stage(
                 value = store.get(key, _MISS, stage=stage)
                 if active is not None:
                     active.attrs["cached"] = value is not _MISS
-                if value is not _MISS:
-                    return value
-                value = fn(*args, **kwargs)
-                store.put(key, value, stage=stage)
+                if value is _MISS:
+                    value = fn(*args, **kwargs)
+                    store.put(key, value, stage=stage)
+                if attach is not None:
+                    attach(store, key, value)
                 return value
 
         wrapper.cache_key = cache_key

@@ -157,7 +157,7 @@ def analyze_peering(dataset: Dataset, registry: AsRegistry) -> PeeringReport:
             if asn not in buckets:
                 buckets[asn] = [0] * num_hours
                 names[asn] = system.name if system is not None else "unattributed"
-            hour = min(record.hour, num_hours - 1)
+            hour = min(max(record.hour, 0), num_hours - 1)
             buckets[asn][hour] += record.num_bytes
 
     rows = [
@@ -201,11 +201,7 @@ def _hourly_bytes_by_as(
             as_index[asn] = len(as_index)
             names[asn] = system.name if system is not None else "unattributed"
         as_of_ip[j] = as_index[asn]
-    # min(hour, num_hours - 1), then the list's own negative indexing.
-    hour = np.minimum(cols.hour, num_hours - 1)
-    if len(hour) and int(hour.min()) < -num_hours:
-        raise IndexError("list index out of range")
-    hour = hour % num_hours
+    hour = np.clip(cols.hour, 0, num_hours - 1)
     sums = group_sum_int64(
         as_of_ip[inverse] * num_hours + hour, cols.num_bytes, len(as_index) * num_hours
     ).reshape(len(as_index), num_hours)

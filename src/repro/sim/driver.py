@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro import obs
+from repro.artifacts.keys import stage_key
 from repro.artifacts.memo import memoized_stage
 from repro.exec.executor import ParallelExecutor, default_executor
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY, SimulationResult, run_requests
@@ -112,7 +113,33 @@ def run_applied(
     return run_spec(scenario, scale, seed, duration_s, policy, use_cache)
 
 
-@memoized_stage("sim/run_week")
+#: Stage of the small artifact that holds a stored week's content digest.
+DIGEST_STAGE = "sim/run_week_digest"
+
+
+def carry_digest(store, key: str, result: SimulationResult) -> None:
+    """Keep a week's content digest next to its ``"sim/run_week"`` artifact.
+
+    Hashing a week formats every flow, so the digest is computed only
+    when something asks for it; the first time, it is stored under a key
+    derived from the week's, and later loads of the week carry it.
+
+    Args:
+        store: The artifact store the week was loaded from or put to.
+        key: The week's ``"sim/run_week"`` key.
+        result: The loaded or freshly simulated week.
+    """
+    table = result.dataset.records
+    if table.digest is not None:
+        return
+    digest_key = stage_key(DIGEST_STAGE, {"run": key})
+    if store.has(digest_key):
+        table.digest = store.get(digest_key, None, stage=DIGEST_STAGE)
+    if table.digest is None:
+        table.on_digest = lambda digest: store.put(digest_key, digest, stage=DIGEST_STAGE)
+
+
+@memoized_stage("sim/run_week", attach=carry_digest)
 def simulate_week(
     spec: ScenarioSpec,
     scale: float,
@@ -127,16 +154,12 @@ def simulate_week(
     anchor: every entry point — :func:`run_spec`, :func:`run_all` tasks,
     :func:`repro.sim.engine.run_many`, what-if variants and sweep grid
     points — keys the same ``"sim/run_week"`` artifacts, so a week
-    simulated by any of them is a warm hit for all of them.
-
-    The week's content digest is computed here, once, so the stored
-    artifact carries it next to the flow columns.
+    simulated by any of them is a warm hit for all of them.  Its content
+    digest, once asked for, is stored beside it (:func:`carry_digest`).
     """
     world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
                         policy_kind=policy_kind)
-    result = run_requests(world, miss_probability=miss_probability)
-    result.dataset.content_digest()
-    return result
+    return run_requests(world, miss_probability=miss_probability)
 
 
 def _scenario_task(key: Tuple) -> SimulationResult:
@@ -164,7 +187,7 @@ def _scenario_task_shm(arg: Tuple) -> Tuple:
     result = _scenario_task(key)
     handle = publish_table(result.dataset.records, name=segment_name)
     slim = replace(result, dataset=replace(result.dataset, records=[]))
-    return (slim, handle, result.dataset.content_digest())
+    return (slim, handle)
 
 
 def _rehydrate_shm(slim_and_handle: Tuple) -> SimulationResult:
@@ -173,17 +196,14 @@ def _rehydrate_shm(slim_and_handle: Tuple) -> SimulationResult:
     The rehydrated dataset's ``records`` is the attached
     :class:`~repro.trace.columnar.FlowTable` — a ``Sequence[FlowRecord]``
     that materialises record objects only if something iterates it — so
-    numpy kernels run zero-copy over the shared columns.  The worker's
-    content digest travels with the handle and is adopted unchanged.
+    numpy kernels run zero-copy over the shared columns.
     """
     from dataclasses import replace
 
     from repro.shard.shm import attach_table
 
-    slim, handle, digest = slim_and_handle
-    dataset = replace(slim.dataset, records=attach_table(handle))
-    dataset.adopt_digest(digest)
-    return replace(slim, dataset=dataset)
+    slim, handle = slim_and_handle
+    return replace(slim, dataset=replace(slim.dataset, records=attach_table(handle)))
 
 
 def run_all(

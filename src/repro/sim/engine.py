@@ -380,7 +380,7 @@ def run_many(
         ValueError: If two worlds share a CDN system.
     """
     from repro.artifacts.store import default_store
-    from repro.sim.driver import simulate_week
+    from repro.sim.driver import carry_digest, simulate_week
 
     worlds = list(worlds)
     systems = {id(world.system) for world in worlds}
@@ -401,6 +401,7 @@ def run_many(
             )
             hit = store.get(keys[i], _RUN_MISS, stage="sim/run_week")
             if hit is not _RUN_MISS:
+                carry_digest(store, keys[i], hit)
                 results[i] = hit
                 continue
         pending.append(i)
@@ -416,4 +417,5 @@ def run_many(
             results[i] = result
             if store is not None and keys[i] is not None:
                 store.put(keys[i], result, stage="sim/run_week")
+                carry_digest(store, keys[i], result)
     return results

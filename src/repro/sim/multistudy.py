@@ -429,7 +429,7 @@ def _shared_study_task_shm(arg: Tuple) -> Dict[str, Tuple]:
     for name, result in results.items():
         handle = publish_table(result.dataset.records, name=segment_names[name])
         slim = replace(result, dataset=replace(result.dataset, records=[]))
-        packed[name] = (slim, handle, result.dataset.content_digest())
+        packed[name] = (slim, handle)
     return packed
 
 

@@ -43,10 +43,11 @@ Exactness notes, because parity is a hard requirement:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.trace.records import FlowRecord
 
@@ -288,7 +289,15 @@ class FlowTable:
     :class:`FlowRecord` objects -- through the validating constructor --
     when something iterates the table.  Either way a ``FlowTable`` is a
     ``Sequence[FlowRecord]``, so the pure-Python spec runs over it
-    unchanged.  Pickling ships the columns only.
+    unchanged.  Pickling ships the columns and, once computed, the
+    :meth:`content_digest`.
+
+    Attributes:
+        digest: The carried :meth:`content_digest`, ``None`` until it is
+            computed (or loaded from where it was stored).
+        on_digest: Called once with the digest when this table computes
+            it (the artifact cache stores it next to the week); not
+            pickled.
     """
 
     __slots__ = (
@@ -297,6 +306,8 @@ class FlowTable:
         "_session_index",
         "_dst_unique",
         "_dst_code",
+        "digest",
+        "on_digest",
         "__weakref__",
     )
 
@@ -304,6 +315,7 @@ class FlowTable:
         self,
         records: Union[Sequence[FlowRecord], Iterable[FlowRecord], None] = None,
         columns: Optional[_Columns] = None,
+        digest: Optional[str] = None,
     ):
         if records is None and columns is None:
             raise TypeError("a FlowTable needs records or columns")
@@ -314,12 +326,33 @@ class FlowTable:
         self._session_index: Optional[SessionIndex] = None
         self._dst_unique = None
         self._dst_code = None
+        self.digest = digest
+        self.on_digest: Optional[Callable[[str], None]] = None
         _register_table(self)
 
     def __reduce__(self):
         if not HAVE_NUMPY:  # pragma: no cover - CI image always has numpy
-            return (FlowTable, (self._records,))
-        return (_table_from_columns, (self.columns(),))
+            return (FlowTable, (self._records, None, self.digest))
+        return (FlowTable, (None, self.columns(), self.digest))
+
+    def content_digest(self) -> str:
+        """SHA-256 over the canonical flow-log lines of the records.
+
+        Computed once and carried with the table, pickles included; a
+        table built from other flows (a filter, a rebinding) starts
+        without one.
+        """
+        if self.digest is None:
+            from repro.trace.logio import format_record
+
+            digest = hashlib.sha256()
+            for record in self.records:
+                digest.update(format_record(record).encode("ascii"))
+                digest.update(b"\n")
+            self.digest = digest.hexdigest()
+            if self.on_digest is not None:
+                self.on_digest(self.digest)
+        return self.digest
 
     # ------------------------------------------------ sequence protocol
 
@@ -433,10 +466,6 @@ _TABLES: "weakref.WeakSet[FlowTable]" = weakref.WeakSet()
 
 def _register_table(table: FlowTable) -> None:
     _TABLES.add(table)
-
-
-def _table_from_columns(cols: _Columns) -> FlowTable:
-    return FlowTable(columns=cols)
 
 
 def resident_columnar() -> Dict[str, int]:

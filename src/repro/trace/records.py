@@ -99,7 +99,7 @@ class Dataset:
 
     A dataset pickles as its flows' column arrays plus its
     :meth:`content_digest` once that has been computed, so a cached or
-    shipped week costs a few buffer copies and never re-hashes its log.
+    shipped week costs a few buffer copies.
 
     Attributes:
         name: Dataset name (``"US-Campus"``...).
@@ -186,33 +186,12 @@ class Dataset:
         (the serialisation round-trips floats exactly); the cross-backend
         determinism tests compare parallel and serial runs with this.
 
-        The digest is computed once per flow table and carried with it
-        (pickles included); rebinding :attr:`records`, :meth:`filtered` and
-        ``dataclasses.replace`` all start without one.
+        The digest lives on the flow table (see
+        :meth:`~repro.trace.columnar.FlowTable.content_digest`), so it is
+        computed once and carried; rebinding :attr:`records` and
+        :meth:`filtered` start without one.
         """
-        table, digest = self.__dict__.get("_digest", (None, None))
-        if table is not self.records:
-            digest = self._hash_records()
-            self.__dict__["_digest"] = (self.records, digest)
-        return digest
-
-    def adopt_digest(self, digest: str) -> None:
-        """Carry a digest computed elsewhere for these very records.
-
-        For a table rebuilt from columns that were digested before they
-        were shipped (the shared-memory transport); the caller vouches
-        that the flows are unchanged.
-        """
-        self.__dict__["_digest"] = (self.records, digest)
-
-    def _hash_records(self) -> str:
-        from repro.trace.logio import format_record
-
-        digest = hashlib.sha256()
-        for record in self.records:
-            digest.update(format_record(record).encode("ascii"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        return self.records.content_digest()
 
     def summary_digest(self, gap_s: float = 10.0) -> str:
         """SHA-256 over the *derived* view: header plus per-session summaries.

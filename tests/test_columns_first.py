@@ -1,7 +1,8 @@
 """The stored form of a simulated week: flow columns plus a carried digest.
 
 A :class:`~repro.trace.records.Dataset` pickles as its flows' column
-arrays and its content digest.  These tests hold that form to the record
+arrays and, once computed, its content digest; the artifact cache keeps
+that digest beside the week.  These tests hold that form to the record
 form it replaces: equal record by record after a round trip, a carried
 digest equal to one recomputed from the records, no stale digest after
 filtering or rebinding, and -- on a warm ``study --full`` -- no record
@@ -16,7 +17,7 @@ import pickle
 
 import pytest
 
-from repro.artifacts.store import reset_default_store
+from repro.artifacts.store import default_store, reset_default_store
 from repro.sim import driver
 from repro.sim.driver import run_all, run_scenario
 from repro.trace.columnar import FlowTable
@@ -50,6 +51,22 @@ def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def recomputed(dataset):
+    """The digest of the dataset's records, hashed afresh."""
+    return FlowTable(list(dataset.records)).content_digest()
+
+
+@pytest.fixture
+def store(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE", "on")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reset_default_store()
+    driver.clear_cache()
+    yield default_store()
+    reset_default_store()
+    driver.clear_cache()
+
+
 def test_pickle_carries_columns_not_records(week):
     blob = pickle.dumps(week.dataset, protocol=pickle.HIGHEST_PROTOCOL)
     assert b"FlowRecord" not in blob
@@ -78,7 +95,7 @@ def test_carried_digest_equals_recomputed(week, materialised):
     copy = roundtrip(week.dataset)
     assert copy.content_digest() == digest
     assert materialised == []  # carried, not recomputed
-    assert copy._hash_records() == digest
+    assert recomputed(copy) == digest
 
 
 def test_filtered_and_replaced_datasets_recompute_their_digest(week):
@@ -87,32 +104,47 @@ def test_filtered_and_replaced_datasets_recompute_their_digest(week):
     keep = dataset.server_ips[:2]
     subset = dataset.filtered(keep)
     assert subset.content_digest() != full
-    assert subset.content_digest() == subset._hash_records()
+    assert subset.content_digest() == recomputed(subset)
     head = dataclasses.replace(dataset, records=list(dataset.records[:5]))
-    assert head.content_digest() == head._hash_records() != full
+    assert head.content_digest() == recomputed(head) != full
     same = dataclasses.replace(dataset, records=dataset.records)
     assert same.content_digest() == full
     dataset.records = list(dataset.records[:3])
     assert isinstance(dataset.records, FlowTable)
-    assert dataset.content_digest() == dataset._hash_records() != full
+    assert dataset.content_digest() == recomputed(dataset) != full
 
 
-def test_simulate_week_stores_the_digest(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE", "on")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    reset_default_store()
+def test_digest_is_stored_beside_the_week_once_asked_for(store):
+    cold = run_scenario("EU1-FTTH", scale=SCALE, seed=7, duration_s=86400.0)
+    assert cold.dataset.records.digest is None  # simulating never hashes
+    assert store.stats.puts == 1
+    digest = cold.dataset.content_digest()
+    assert store.stats.puts == 2
     driver.clear_cache()
-    try:
-        cold = run_scenario("EU1-FTTH", scale=SCALE, seed=7, duration_s=86400.0)
-        assert "_digest" in cold.dataset.__dict__
-        driver.clear_cache()
-        warm = run_scenario("EU1-FTTH", scale=SCALE, seed=7, duration_s=86400.0)
-        assert warm is not cold
-        assert warm.dataset.records._records is None
-        assert warm.dataset.__dict__["_digest"][1] == cold.dataset.content_digest()
-    finally:
-        reset_default_store()
-        driver.clear_cache()
+    warm = run_scenario("EU1-FTTH", scale=SCALE, seed=7, duration_s=86400.0)
+    assert warm is not cold
+    assert warm.dataset.records.digest == digest
+    assert warm.dataset.records._records is None
+    assert warm.dataset.content_digest() == digest
+    assert store.stats.puts == 2
+
+
+def test_run_many_carries_the_stored_digest(store):
+    from repro.sim.engine import run_many
+    from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+
+    def world():
+        return build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=SCALE, seed=7,
+                           duration_s=86400.0, policy_kind="preferred")
+
+    [cold] = run_many([world()])
+    assert cold.dataset.records.digest is None
+    digest = cold.dataset.content_digest()
+    [warm] = run_many([world()])
+    assert warm is not cold and warm.dataset.records.digest == digest
+    # The same artifacts back simulate_week.
+    assert run_scenario("EU1-FTTH", scale=SCALE, seed=7,
+                        duration_s=86400.0).dataset.records.digest == digest
 
 
 def test_shm_rehydration_keeps_columns_and_digest(monkeypatch, materialised):
@@ -129,29 +161,24 @@ def test_shm_rehydration_keeps_columns_and_digest(monkeypatch, materialised):
         assert len(result.dataset) == len(reference.dataset)
         assert result.dataset.content_digest() == reference.dataset.content_digest()
         assert result.dataset.records == reference.dataset.records
-    assert result.dataset._hash_records() == reference.dataset.content_digest()
+    assert recomputed(result.dataset) == reference.dataset.content_digest()
 
 
-def test_warm_full_study_builds_only_focus_records(monkeypatch, tmp_path, materialised):
+def test_warm_full_study_builds_only_focus_records(monkeypatch, store, materialised):
     from repro import cli
 
-    monkeypatch.setenv("REPRO_CACHE", "on")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_KERNELS", "numpy")
-    reset_default_store()
+    cold = run_all(scale=SCALE, seed=7)
+    digests = {name: result.dataset.content_digest() for name, result in cold.items()}
     driver.clear_cache()
-    try:
-        run_all(scale=SCALE, seed=7)
-        driver.clear_cache()
-        assert cli.main(["study", "--scale", str(SCALE), "--full", "--digests"],
-                        out=io.StringIO()) == 0
-        warm = run_all(scale=SCALE, seed=7)
-        full_tables = [result.dataset.records for result in warm.values()]
-        assert all(table._records is None for table in full_tables)
-        full_ids = {id(table) for table in full_tables}
-        assert not any(id(table) in full_ids for table in materialised)
-        focus_rows = sum(len(table) for table in materialised)
-        assert 0 < focus_rows < sum(map(len, full_tables))
-    finally:
-        reset_default_store()
-        driver.clear_cache()
+    materialised.clear()
+    out = io.StringIO()
+    assert cli.main(["study", "--scale", str(SCALE), "--full", "--digests"], out=out) == 0
+    assert all(f"digest {name} {digest}" in out.getvalue() for name, digest in digests.items())
+    warm = run_all(scale=SCALE, seed=7)
+    full_tables = [result.dataset.records for result in warm.values()]
+    assert all(table._records is None for table in full_tables)
+    full_ids = {id(table) for table in full_tables}
+    assert not any(id(table) in full_ids for table in materialised)
+    focus_rows = sum(len(table) for table in materialised)
+    assert 0 < focus_rows < sum(map(len, full_tables))
